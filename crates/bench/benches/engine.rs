@@ -10,7 +10,7 @@ use scue_util::bench::{black_box, BatchSize, BenchRunner};
 fn bench_persist(c: &mut BenchRunner) {
     let mut group = c.benchmark_group("persist_data");
     for scheme in SchemeKind::ALL {
-        group.bench_with_input(scheme.name(), &scheme, |b, &scheme| {
+        group.bench_with_input(scheme.policy().name, &scheme, |b, &scheme| {
             let mut mem = SecureMemory::new(SecureMemConfig::small_test(scheme));
             let mut now = 0u64;
             let mut i = 0u64;
@@ -28,7 +28,7 @@ fn bench_persist(c: &mut BenchRunner) {
 fn bench_read(c: &mut BenchRunner) {
     let mut group = c.benchmark_group("read_data");
     for scheme in [SchemeKind::Baseline, SchemeKind::Lazy, SchemeKind::Scue] {
-        group.bench_with_input(scheme.name(), &scheme, |b, &scheme| {
+        group.bench_with_input(scheme.policy().name, &scheme, |b, &scheme| {
             let mut mem = SecureMemory::new(SecureMemConfig::small_test(scheme));
             let mut now = 0u64;
             for i in 0..4096u64 {

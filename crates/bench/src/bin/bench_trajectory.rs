@@ -143,14 +143,14 @@ fn main() {
         let (allocs_per_op, bytes_per_op) = engine_allocs(scheme, ops);
         println!(
             "{:<11} {:>12.0} {:>12.2} {:>14.1}",
-            scheme.name(),
+            scheme.policy().name,
             ops_per_sec,
             allocs_per_op,
             bytes_per_op
         );
         engine_rows.push(
             Json::obj()
-                .with("scheme", Json::Str(scheme.name().to_string()))
+                .with("scheme", Json::Str(scheme.policy().name.to_string()))
                 .with("ops_per_sec", Json::F64(ops_per_sec))
                 .with("allocs_per_op", Json::F64(allocs_per_op))
                 .with("alloc_bytes_per_op", Json::F64(bytes_per_op)),

@@ -41,7 +41,7 @@ fn main() {
     for scheme in SchemeKind::ALL {
         println!(
             "{:>10} {:>14} {:>14}",
-            scheme.name(),
+            scheme.policy().name,
             show(verdict(scheme, false)),
             show(verdict(scheme, true))
         );

@@ -34,7 +34,7 @@ fn main() {
 
     let mut means = Json::obj();
     for scheme in SchemeKind::FIGURE_SCHEMES {
-        means.set(scheme.name(), Json::F64(mean_of(&rows, scheme)));
+        means.set(scheme.policy().name, Json::F64(mean_of(&rows, scheme)));
     }
     let doc = figure_doc("scue-fig09-write-latency")
         .with("rows", rows_to_json(&rows))

@@ -22,7 +22,7 @@ fn main() {
         let oh = overheads::on_chip(scheme, &geom);
         println!(
             "{:>10} {:>12}  {}",
-            scheme.name(),
+            scheme.policy().name,
             human(oh.nonvolatile_bytes),
             oh.breakdown
         );

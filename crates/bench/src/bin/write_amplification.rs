@@ -33,7 +33,7 @@ fn main() {
             let persists = r.engine.persists.max(1) as f64;
             r.engine.mem.total_writes() as f64 / persists
         });
-        print!("{:>10}", scheme.name());
+        print!("{:>10}", scheme.policy().name);
         let mut sum = 0.0;
         for a in &amps {
             print!(" {:>9.2}", a);

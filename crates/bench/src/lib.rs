@@ -120,7 +120,7 @@ pub fn provenance(jobs: usize, wall_ms: u64) -> Json {
 pub fn print_scheme_table(rows: &[WorkloadRow]) {
     print!("{:>12}", "workload");
     for scheme in SchemeKind::FIGURE_SCHEMES {
-        print!(" {:>10}", scheme.name());
+        print!(" {:>10}", scheme.policy().name);
     }
     println!();
     for row in rows {
@@ -148,7 +148,7 @@ pub fn print_latency_percentile_table(rows: &[WorkloadRow]) {
     println!("write-latency percentiles, cycles (p50/p95/p99):");
     print!("{:>12}", "workload");
     for scheme in &schemes {
-        print!(" {:>14}", scheme.name());
+        print!(" {:>14}", scheme.policy().name);
     }
     println!();
     for row in rows {
@@ -196,11 +196,11 @@ pub fn rows_to_json(rows: &[WorkloadRow]) -> Json {
             .map(|row| {
                 let mut normalized = Json::obj();
                 for (scheme, v) in &row.normalized {
-                    normalized.set(scheme.name(), Json::F64(*v));
+                    normalized.set(scheme.policy().name, Json::F64(*v));
                 }
                 let mut percentiles = Json::obj();
                 for (scheme, summary) in &row.summaries {
-                    percentiles.set(scheme.name(), summary.to_json());
+                    percentiles.set(scheme.policy().name, summary.to_json());
                 }
                 Json::obj()
                     .with("workload", Json::Str(row.workload.name().to_string()))

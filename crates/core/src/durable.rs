@@ -131,39 +131,6 @@ pub struct CheckpointReport {
     pub flushed_at: Cycle,
 }
 
-fn scheme_code(scheme: SchemeKind) -> u8 {
-    match scheme {
-        SchemeKind::Baseline => 0,
-        SchemeKind::Lazy => 1,
-        SchemeKind::Eager => 2,
-        SchemeKind::Plp => 3,
-        SchemeKind::BmfIdeal => 4,
-        SchemeKind::Scue => 5,
-        SchemeKind::Phoenix => 6,
-        SchemeKind::TriadL1 => 7,
-        SchemeKind::TriadL2 => 8,
-        SchemeKind::Zuo => 9,
-        SchemeKind::Freij => 10,
-    }
-}
-
-fn scheme_from_code(code: u8) -> Option<SchemeKind> {
-    Some(match code {
-        0 => SchemeKind::Baseline,
-        1 => SchemeKind::Lazy,
-        2 => SchemeKind::Eager,
-        3 => SchemeKind::Plp,
-        4 => SchemeKind::BmfIdeal,
-        5 => SchemeKind::Scue,
-        6 => SchemeKind::Phoenix,
-        7 => SchemeKind::TriadL1,
-        8 => SchemeKind::TriadL2,
-        9 => SchemeKind::Zuo,
-        10 => SchemeKind::Freij,
-        _ => return None,
-    })
-}
-
 /// The engine's trusted durable state, as carried in the checkpoint meta
 /// blob. Pairs (`sideband`, `nvmc`) are sorted by key so the encoding —
 /// and hence the image bytes — are deterministic.
@@ -223,7 +190,7 @@ impl DurableMeta {
         let mut out = Vec::with_capacity(160 + 16 * (self.sideband.len() + self.nvmc.len()));
         out.extend_from_slice(&META_MAGIC);
         put_u32(&mut out, META_VERSION);
-        out.push(scheme_code(self.scheme));
+        out.push(self.scheme.policy().code);
         out.push(self.stored_levels);
         out.push(self.total_levels);
         out.push(0); // pad
@@ -261,7 +228,10 @@ impl DurableMeta {
             return Err(MetaError::BadVersion(version));
         }
         let head = c.take(4).ok_or(MetaError::Corrupt("scheme/levels"))?;
-        let scheme = scheme_from_code(head[0]).ok_or(MetaError::Corrupt("scheme code"))?;
+        let scheme = SchemeKind::ALL
+            .into_iter()
+            .find(|s| s.policy().code == head[0])
+            .ok_or(MetaError::Corrupt("scheme code"))?;
         let (stored_levels, total_levels) = (head[1], head[2]);
         let key_seed = c.u64().ok_or(MetaError::Corrupt("key seed"))?;
         let data_lines = c.u64().ok_or(MetaError::Corrupt("data lines"))?;
@@ -397,8 +367,11 @@ mod tests {
     #[test]
     fn scheme_codes_roundtrip() {
         for scheme in SchemeKind::ALL {
-            assert_eq!(scheme_from_code(scheme_code(scheme)), Some(scheme));
+            let mut meta = sample();
+            meta.scheme = scheme;
+            let bytes = meta.encode();
+            assert_eq!(bytes[12], scheme.policy().code);
+            assert_eq!(DurableMeta::decode(&bytes).unwrap().scheme, scheme);
         }
-        assert_eq!(scheme_from_code(11), None);
     }
 }

@@ -2,18 +2,11 @@
 //!
 //! Every secure-NVM scheme needs the security-metadata cache; what
 //! distinguishes them is the *extra* on-chip state required for root
-//! crash consistency:
-//!
-//! * SCUE: two 64 B non-volatile registers (Running_root + Recovery_root)
-//!   = 128 B;
-//! * PLP: the pipelined tree-update tracker (PTT, 616 B) plus the epoch
-//!   tracking table (ETT, 48 bits);
-//! * BMF-ideal: a non-volatile metadata cache holding every counter
-//!   block's parent node — `leaf_count / 8` nodes × 64 B, i.e. **256 MB
-//!   for a 16 GB NVM**;
-//! * Lazy/Eager: a single 64 B root register (and no crash consistency).
+//! crash consistency — SCUE's two 64 B registers against BMF-ideal's
+//! 256 MB nvMC for a 16 GB NVM. Each scheme's figure lives in its
+//! [`SchemePolicy`](crate::config::SchemePolicy) row.
 
-use crate::config::SchemeKind;
+use crate::config::{RootDiscipline, SchemeKind};
 use scue_itree::TreeGeometry;
 
 /// On-chip state a scheme needs beyond the shared metadata cache.
@@ -40,46 +33,15 @@ pub struct OnChipOverhead {
 /// assert_eq!(bmf.nonvolatile_bytes, 256 * 1024 * 1024);
 /// ```
 pub fn on_chip(scheme: SchemeKind, geometry: &TreeGeometry) -> OnChipOverhead {
-    match scheme {
-        SchemeKind::Baseline => OnChipOverhead {
-            nonvolatile_bytes: 0,
-            breakdown: "none (no integrity tree)",
-        },
-        SchemeKind::Lazy
-        | SchemeKind::Eager
-        | SchemeKind::TriadL1
-        | SchemeKind::TriadL2
-        | SchemeKind::Zuo => OnChipOverhead {
-            nonvolatile_bytes: 64,
-            breakdown: "one 64 B root register (no crash consistency)",
-        },
-        SchemeKind::Phoenix => OnChipOverhead {
-            // Root register plus a persist-queue tracker for the in-
-            // flight branch persists (one 64 B line's worth of state).
-            nonvolatile_bytes: 64 + 64,
-            breakdown: "root register + branch persist tracker (64 B)",
-        },
-        SchemeKind::Freij => OnChipOverhead {
-            // Root register plus the update-coalescing buffer tags
-            // (modelled at 256 B, in the PTT's ballpark but smaller).
-            nonvolatile_bytes: 64 + 256,
-            breakdown: "root register + coalescing buffer tags (256 B)",
-        },
-        SchemeKind::Plp => OnChipOverhead {
-            // PTT 616 B + ETT 48 b (rounded up to 6 B), plus the root.
-            nonvolatile_bytes: 64 + 616 + 6,
-            breakdown: "root register + PTT (616 B) + ETT (48 b)",
-        },
-        SchemeKind::BmfIdeal => OnChipOverhead {
-            // The paper accounts one 64 B persistent-root entry per
-            // counter block (§V-F: 256 MB for 16 GB).
-            nonvolatile_bytes: geometry.leaf_count() * 64,
-            breakdown: "nvMC holding a persistent root per counter block",
-        },
-        SchemeKind::Scue => OnChipOverhead {
-            nonvolatile_bytes: 128,
-            breakdown: "Running_root + Recovery_root (two 64 B NV registers)",
-        },
+    let policy = scheme.policy();
+    let (bytes, breakdown) = policy.on_chip;
+    let registers = match policy.root {
+        RootDiscipline::PerLeaf => geometry.leaf_count(),
+        _ => 1,
+    };
+    OnChipOverhead {
+        nonvolatile_bytes: bytes * registers,
+        breakdown,
     }
 }
 

@@ -22,7 +22,7 @@
 //! lines present in the sparse NVM image, mirroring how STAR bitmaps or
 //! an Anubis shadow table bound the stale set (see [`crate::fastrec`]).
 
-use crate::config::SchemeKind;
+use crate::config::{RootDiscipline, SchemeKind};
 use crate::engine::SecureMemory;
 use scue_crypto::hmac::bmt_child_hmac;
 use scue_itree::geometry::NodeId;
@@ -194,22 +194,23 @@ impl ConsistencyProbe {
 /// [`SecureMemory::probe_consistency`].
 pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
     let scheme = mem.scheme();
+    let root = scheme.policy().root;
     let (ctx, mc, sideband, running_root, recovery_root, nvmc) = mem.parts_for_probe();
     let geom = ctx.geometry().clone();
     let mut out = ConsistencyProbe {
         scheme,
-        verified: scheme.is_secure(),
+        verified: scheme.policy().is_secure(),
         leaves_seen: 0,
         leaf_mac_failures: 0,
         rebuilt_sum: 0,
         trusted_sum: 0,
         root_consistent: true,
     };
-    if scheme == SchemeKind::Baseline {
+    if root == RootDiscipline::Unverified {
         return out;
     }
 
-    if scheme == SchemeKind::BmfIdeal {
+    if root == RootDiscipline::PerLeaf {
         // Flat per-leaf check against the nvMC registers, mirroring
         // `recover_bmf` without the early return.
         let key = *ctx.key();
@@ -278,10 +279,7 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
     for (&idx, &dummy) in &current {
         rebuilt_root.add((idx % 8) as usize, dummy);
     }
-    let trusted: &RootRegister = match scheme {
-        SchemeKind::Scue => recovery_root,
-        _ => running_root,
-    };
+    let trusted = trusted_root(root, running_root, recovery_root);
     out.rebuilt_sum = rebuilt_root.counters().iter().sum();
     out.trusted_sum = trusted.counters().iter().sum();
     out.root_consistent = rebuilt_root == *trusted;
@@ -291,28 +289,34 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
 /// Runs recovery on a crashed machine. Called via
 /// [`SecureMemory::recover`].
 pub(crate) fn run(mem: &mut SecureMemory) -> RecoveryReport {
-    match mem.scheme() {
-        SchemeKind::Baseline => {
+    match mem.scheme().policy().root {
+        RootDiscipline::Unverified => {
             RecoveryReport::new(RecoveryOutcome::Unverified, 0, RecoveryPhases::default())
         }
-        SchemeKind::BmfIdeal => recover_bmf(mem),
-        // Every SIT-shaped scheme — the paper's four plus the zoo —
-        // reconstructs by counter summing; only the trusted root register
-        // differs (Recovery_root for SCUE, the running root elsewhere).
-        SchemeKind::Lazy
-        | SchemeKind::Eager
-        | SchemeKind::Plp
-        | SchemeKind::Scue
-        | SchemeKind::Phoenix
-        | SchemeKind::TriadL1
-        | SchemeKind::TriadL2
-        | SchemeKind::Zuo
-        | SchemeKind::Freij => recover_counter_summing(mem),
+        RootDiscipline::PerLeaf => recover_bmf(mem),
+        // Every SIT-shaped discipline reconstructs by counter summing;
+        // only the trusted root register differs.
+        _ => recover_counter_summing(mem),
     }
 }
 
-/// BMF-ideal: every leaf's persistent root (its MAC in the nvMC) survived
-/// the crash on-chip; verification is a flat scan.
+/// The register a counter-summing recovery checks the rebuilt root
+/// against: `Recovery_root` under the shortcut discipline, the running
+/// root otherwise.
+fn trusted_root<'a>(
+    root: RootDiscipline,
+    running: &'a RootRegister,
+    recovery: &'a RootRegister,
+) -> &'a RootRegister {
+    if root == RootDiscipline::RecoveryRoot {
+        recovery
+    } else {
+        running
+    }
+}
+
+/// Per-leaf nvMC: every leaf's persistent root (its MAC in the nvMC)
+/// survived the crash on-chip; verification is a flat scan.
 fn recover_bmf(mem: &mut SecureMemory) -> RecoveryReport {
     // BMF is one flat pass over the leaves: all scan, no summing.
     let _span = span::enter("recovery.scan");
@@ -365,7 +369,7 @@ fn recover_bmf(mem: &mut SecureMemory) -> RecoveryReport {
 
 /// The SIT counter-summing reconstruction of Fig. 8.
 fn recover_counter_summing(mem: &mut SecureMemory) -> RecoveryReport {
-    let scheme = mem.scheme();
+    let root = mem.scheme().policy().root;
     let (ctx, mc, sideband, running_root, recovery_root, _nvmc) = mem.parts_for_recovery();
     let geom = ctx.geometry().clone();
 
@@ -437,11 +441,7 @@ fn recover_counter_summing(mem: &mut SecureMemory) -> RecoveryReport {
     for (&idx, &dummy) in &current {
         rebuilt_root.add((idx % 8) as usize, dummy);
     }
-    let trusted: &RootRegister = match scheme {
-        SchemeKind::Scue => recovery_root,
-        _ => running_root,
-    };
-    if rebuilt_root != *trusted {
+    if rebuilt_root != *trusted_root(root, running_root, recovery_root) {
         return RecoveryReport::new(RecoveryOutcome::RootMismatch, leaves_checked, phases);
     }
     drop(span_sum);

@@ -29,9 +29,9 @@
 //! to a minimal `scheme:attack:ops:inject_at` spec and reported with a
 //! replay command, exactly like the torture campaign.
 
-use crate::torture::{op_at, parse_scheme_token, scheme_token};
+use crate::torture::op_at;
 use scue::attack as tamper;
-use scue::{RecoveryOutcome, SchemeKind, SecureMemConfig, SecureMemory};
+use scue::{RecoveryOutcome, RootDiscipline, SchemeKind, SecureMemConfig, SecureMemory};
 use scue_itree::geometry::{NodeId, Parent};
 use scue_nvm::{Cycle, LineAddr};
 use scue_util::obs::{Histogram, Json};
@@ -127,7 +127,7 @@ impl AttackSpec {
     pub fn replay_spec(&self, scheme: SchemeKind) -> String {
         format!(
             "{}:{}:{}:{}",
-            scheme_token(scheme),
+            scheme.policy().token,
             self.attack.name(),
             self.ops,
             self.inject_at
@@ -149,7 +149,7 @@ impl AttackSpec {
                 .ok_or_else(|| format!("replay spec is missing the {name} field"))
         };
         let scheme_str = field("scheme")?;
-        let scheme = parse_scheme_token(scheme_str)
+        let scheme = SchemeKind::parse(scheme_str)
             .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
         let attack_str = field("attack")?;
         let attack = AttackKind::parse(attack_str)
@@ -362,13 +362,13 @@ pub fn run_attack_case(
     // tamper so mutation (did it change anything?) and erasure (was the
     // evidence later overwritten?) are decidable.
     //
-    // The dummy-counter attack has no target under BMF: its trust base
-    // is the on-chip nvMC, not the stored SIT intermediate levels, so
+    // The dummy-counter attack has no target under a per-leaf nvMC: the
+    // trust base is on chip, not the stored SIT intermediate levels, so
     // tampering those lines attacks storage the scheme never reads.
     // Modelled — like a leaf whose parent is the attack-proof on-chip
     // root — as a no-op injection.
     let dummy_parent = match geom.parent(NodeId::new(0, target_leaf)) {
-        Parent::Node(p) if scheme != SchemeKind::BmfIdeal => Some(p),
+        Parent::Node(p) if scheme.policy().root != RootDiscipline::PerLeaf => Some(p),
         _ => None,
     };
     let affected: Vec<LineAddr> = match spec.attack {
@@ -516,12 +516,13 @@ pub fn run_attack_case(
     mem.crash(now);
     let report = mem.recover();
     if report.outcome.is_failure() {
-        let class =
-            if !scheme.root_crash_consistent() && report.outcome == RecoveryOutcome::RootMismatch {
-                AttackClass::WindowInconclusive
-            } else {
-                AttackClass::DetectedAtRecovery
-            };
+        let class = if !scheme.policy().root_crash_consistent()
+            && report.outcome == RecoveryOutcome::RootMismatch
+        {
+            AttackClass::WindowInconclusive
+        } else {
+            AttackClass::DetectedAtRecovery
+        };
         return AttackCaseResult {
             class,
             mutated,
@@ -593,7 +594,7 @@ pub fn oracle(
             result.detail
         ))
     };
-    if !scheme.is_secure() {
+    if !scheme.policy().is_secure() {
         // Baseline has no verification to pass or fail: any *detection*
         // is a modelling bug. Silent corruption — or nothing observable
         // at all — is the expected Table I row.
@@ -616,7 +617,7 @@ pub fn oracle(
             }
         }
         AttackClass::WindowInconclusive => {
-            if scheme.root_crash_consistent() {
+            if scheme.policy().root_crash_consistent() {
                 violation("root-crash-consistent scheme hit the crash window")
             } else {
                 Ok(())
@@ -1134,7 +1135,7 @@ mod tests {
         }
         // Secure schemes must show online latencies; Baseline must not.
         for tally in &serial.tallies {
-            if tally.scheme.is_secure() {
+            if tally.scheme.policy().is_secure() {
                 assert!(
                     !tally.latency.is_empty(),
                     "{}: no online detections",

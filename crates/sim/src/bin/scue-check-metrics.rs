@@ -21,8 +21,10 @@
 //! per-scheme `open_errors`/`fallbacks` bounded by the case count and a
 //! `total_fallbacks` cross-check. For `scue-mc` model-checker
 //! documents: per-scheme verdict tallies partitioning the crash cases,
-//! witness lists consistent with the witness cap, and truncation
-//! counters that agree with every `exhaustive` claim. For
+//! witness lists consistent with the witness cap, truncation counters
+//! that agree with every `exhaustive` claim, and — for each exhaustive
+//! search — witnesses exactly on the secure schemes without root crash
+//! consistency. For
 //! `scue-profile` documents: per-scheme span tables with coherent
 //! stats (`self_ns <= total_ns`), and — on the monotonic clock only,
 //! where durations are real nanoseconds — at least 90% of root wall
@@ -395,17 +397,14 @@ fn check_attack(doc: &Json) -> Result<(), String> {
         // Baseline has nothing to verify with: any detection is a
         // modelling bug, and with effective tampers it must show the
         // silent corruption the paper's Table I predicts.
-        let kind = SchemeKind::ALL
-            .into_iter()
-            .find(|s| s.to_string() == name)
-            .ok_or(format!("unknown scheme `{name}`"))?;
+        let kind = scheme_named(name)?;
         let detections: u64 = AttackClass::ALL
             .iter()
             .zip(&outcomes)
             .filter(|(c, _)| c.is_detection())
             .map(|(_, n)| n)
             .sum();
-        if !kind.is_secure() {
+        if !kind.policy().is_secure() {
             if detections > 0 {
                 return Err(format!(
                     "{name}: an unprotected scheme reports {detections} detections"
@@ -558,6 +557,14 @@ fn check_crashtest(doc: &Json) -> Result<(), String> {
     check_provenance(doc)
 }
 
+/// The scheme whose display name is `name`.
+fn scheme_named(name: &str) -> Result<SchemeKind, String> {
+    SchemeKind::ALL
+        .into_iter()
+        .find(|s| s.policy().name == name)
+        .ok_or(format!("unknown scheme `{name}`"))
+}
+
 /// Validates a `scue-mc` model-checker document.
 fn check_mc(doc: &Json) -> Result<(), String> {
     let version = doc
@@ -647,6 +654,21 @@ fn check_mc(doc: &Json) -> Result<(), String> {
         }
         let witnesses = int("witnesses")?;
         witness_sum += witnesses;
+        // A complete search finds a clean-crash witness exactly when the
+        // scheme verifies but has a crash window (its policy row's root
+        // discipline), at every scope scue-mc accepts.
+        let policy = scheme_named(name)?.policy();
+        let windowed = policy.is_secure() && !policy.root_crash_consistent();
+        if exhaustive && (witnesses > 0) != windowed {
+            return Err(format!(
+                "{name}: exhaustive search found {witnesses} witnesses, but the scheme {}",
+                if windowed {
+                    "has a crash window"
+                } else {
+                    "has none"
+                }
+            ));
+        }
         let inconsistent = verdicts
             .get("inconsistent")
             .and_then(Json::as_u64)
@@ -1417,6 +1439,33 @@ mod tests {
         let replayed =
             scue_sim::mc::run(&scue_sim::mc::McConfig::default(), &[SchemeKind::Lazy]).to_json();
         check_mc(&replayed).unwrap();
+    }
+
+    #[test]
+    fn mc_witnesses_must_match_each_schemes_root_discipline() {
+        // SCUE's clean entry relabelled as Eager: a window scheme with no
+        // witnesses in an exhaustive search.
+        let rendered = mc_doc()
+            .render_doc()
+            .replace("\"scheme\":\"SCUE\"", "\"scheme\":\"Eager\"");
+        let err = check_mc(&Json::parse(&rendered).unwrap()).unwrap_err();
+        assert!(
+            err.contains("Eager: exhaustive search found 0 witnesses"),
+            "{err}"
+        );
+        // Lazy's witnessed entry relabelled as PLP: witnesses against a
+        // root-crash-consistent scheme.
+        let rendered = mc_doc()
+            .render_doc()
+            .replace("\"scheme\":\"Lazy\"", "\"scheme\":\"PLP\"");
+        let err = check_mc(&Json::parse(&rendered).unwrap()).unwrap_err();
+        assert!(err.contains("PLP: exhaustive search found"), "{err}");
+        assert!(err.contains("has none"), "{err}");
+        let rendered = mc_doc()
+            .render_doc()
+            .replace("\"scheme\":\"Lazy\"", "\"scheme\":\"Mercury\"");
+        let err = check_mc(&Json::parse(&rendered).unwrap()).unwrap_err();
+        assert!(err.contains("unknown scheme `Mercury`"), "{err}");
     }
 
     #[test]

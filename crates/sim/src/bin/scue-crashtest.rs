@@ -75,7 +75,7 @@ fn parse_args_from(
             }
             "--scheme" => {
                 let v = value("--scheme")?;
-                let scheme = crashtest::parse_scheme(&v)
+                let scheme = SchemeKind::parse(&v)
                     .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
                 schemes = vec![scheme];
             }
@@ -114,7 +114,7 @@ fn parse_child_args(args: &[String]) -> Result<(SchemeKind, u64, usize, usize, &
             .map_err(|_| format!("invalid --child {name}: `{v}`"))
     }
     let scheme_token = arg(0, "SCHEME")?;
-    let scheme = crashtest::parse_scheme(scheme_token)
+    let scheme = SchemeKind::parse(scheme_token)
         .ok_or_else(|| format!("invalid --child SCHEME: `{scheme_token}`"))?;
     let seed = num("SEED", arg(1, "SEED")?)?;
     let epochs = num("EPOCHS", arg(2, "EPOCHS")?)?;

@@ -48,23 +48,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "baseline" => SchemeKind::Baseline,
-        "lazy" => SchemeKind::Lazy,
-        "eager" => SchemeKind::Eager,
-        "plp" => SchemeKind::Plp,
-        "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-        "scue" => SchemeKind::Scue,
-        "phoenix" => SchemeKind::Phoenix,
-        "triad1" => SchemeKind::TriadL1,
-        "triad2" => SchemeKind::TriadL2,
-        "zuo" => SchemeKind::Zuo,
-        "freij" => SchemeKind::Freij,
-        _ => return None,
-    })
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         schemes: Vec::new(),
@@ -89,7 +72,7 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--scheme" => {
                 let v = value("--scheme");
-                let scheme = parse_scheme(&v)
+                let scheme = SchemeKind::parse(&v)
                     .unwrap_or_else(|| fail(format!("invalid value for --scheme: `{v}`")));
                 args.schemes.push(scheme);
             }
@@ -181,7 +164,7 @@ fn main() {
     for r in &results {
         println!(
             "{:<11} {:>7.1}%   {:<9}   {:<9}   {:.1}",
-            r.scheme.name(),
+            r.scheme.policy().name,
             r.coverage_pct(),
             if r.recovered { "yes" } else { "no" },
             r.thread_allocs,

@@ -54,23 +54,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "baseline" => SchemeKind::Baseline,
-        "lazy" => SchemeKind::Lazy,
-        "eager" => SchemeKind::Eager,
-        "plp" => SchemeKind::Plp,
-        "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-        "scue" => SchemeKind::Scue,
-        "phoenix" => SchemeKind::Phoenix,
-        "triad1" => SchemeKind::TriadL1,
-        "triad2" => SchemeKind::TriadL2,
-        "zuo" => SchemeKind::Zuo,
-        "freij" => SchemeKind::Freij,
-        _ => return None,
-    })
-}
-
 fn parse_workload(s: &str) -> Option<Workload> {
     Workload::ALL
         .into_iter()
@@ -105,8 +88,8 @@ fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String>
         match flag.as_str() {
             "--scheme" => {
                 let v = value("--scheme")?;
-                args.scheme =
-                    parse_scheme(&v).ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
+                args.scheme = SchemeKind::parse(&v)
+                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
             }
             "--workload" => {
                 let v = value("--workload")?;

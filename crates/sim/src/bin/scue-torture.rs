@@ -78,20 +78,8 @@ fn parse_args_from(
             "--strict-windows" => cfg.strict_windows = true,
             "--scheme" => {
                 let v = value("--scheme")?;
-                let scheme = match v.as_str() {
-                    "baseline" => SchemeKind::Baseline,
-                    "lazy" => SchemeKind::Lazy,
-                    "eager" => SchemeKind::Eager,
-                    "plp" => SchemeKind::Plp,
-                    "bmf" | "bmf-ideal" => SchemeKind::BmfIdeal,
-                    "scue" => SchemeKind::Scue,
-                    "phoenix" => SchemeKind::Phoenix,
-                    "triad1" => SchemeKind::TriadL1,
-                    "triad2" => SchemeKind::TriadL2,
-                    "zuo" => SchemeKind::Zuo,
-                    "freij" => SchemeKind::Freij,
-                    _ => return Err(format!("invalid value for --scheme: `{v}`")),
-                };
+                let scheme = SchemeKind::parse(&v)
+                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
                 schemes = vec![scheme];
             }
             "--jobs" => {

@@ -26,7 +26,7 @@
 //! pass/fail verdict is deterministic even though individual tallies
 //! can differ run to run.
 
-use crate::torture::{self, op_at, scheme_token, CaseClass, CaseResult, TortureConfig};
+use crate::torture::{self, op_at, CaseClass, CaseResult, TortureConfig};
 use scue::{CrashError, SchemeKind, SecureMemConfig, SecureMemory};
 use scue_nvm::{apply_durable, DurableFault, LineAddr};
 use scue_util::obs::Json;
@@ -300,7 +300,7 @@ fn kill_child_at_epoch(
 ) -> Result<Option<u64>, String> {
     let mut child = Command::new(exe)
         .arg("--child")
-        .arg(scheme_token(scheme))
+        .arg(scheme.policy().token)
         .arg(cfg.seed.to_string())
         .arg(cfg.epochs.to_string())
         .arg(cfg.ops_per_epoch.to_string())
@@ -351,7 +351,7 @@ fn run_case(
 ) -> CrashOutcome {
     let image = cfg
         .dir
-        .join(format!("scue-crash-{}-{index}.img", scheme_token(scheme)));
+        .join(format!("scue-crash-{}-{index}.img", scheme.policy().token));
     let _ = std::fs::remove_file(&image);
     let outcome = run_case_at(exe, scheme, cfg, index, case, &image);
     let _ = std::fs::remove_file(&image);
@@ -448,7 +448,7 @@ fn audit(
 ) -> (CaseClass, String) {
     let report = mem.recover();
     if report.outcome.is_failure() {
-        let class = if fault_applied || scheme.root_crash_consistent() {
+        let class = if fault_applied || scheme.policy().root_crash_consistent() {
             CaseClass::DetectedAtRecovery
         } else {
             CaseClass::ExpectedWindowFail
@@ -503,7 +503,7 @@ fn audit(
         }
     }
 
-    let class = if !scheme.is_secure() {
+    let class = if !scheme.policy().is_secure() {
         CaseClass::UnverifiedSurvived
     } else if report.repaired_leaves > 0 {
         CaseClass::RepairedCounter
@@ -715,11 +715,6 @@ pub fn campaign_with_jobs(
 /// Serial convenience wrapper around [`campaign_with_jobs`].
 pub fn campaign(exe: &Path, cfg: &CrashtestConfig, schemes: &[SchemeKind]) -> CrashtestReport {
     campaign_with_jobs(exe, cfg, schemes, 1)
-}
-
-/// Parses a scheme token for the bin's `--child`/`--scheme` flags.
-pub fn parse_scheme(s: &str) -> Option<SchemeKind> {
-    torture::parse_scheme_token(s)
 }
 
 #[cfg(test)]

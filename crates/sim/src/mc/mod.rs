@@ -100,7 +100,7 @@ impl McReport {
     pub fn rcc_witnesses(&self) -> u64 {
         self.schemes
             .iter()
-            .filter(|s| s.search.scheme.root_crash_consistent())
+            .filter(|s| s.search.scheme.policy().root_crash_consistent())
             .map(|s| s.search.witnesses_total)
             .sum()
     }
@@ -237,8 +237,8 @@ mod tests {
         for s in &report.schemes {
             // Window schemes (the non-root-crash-consistent secure ones)
             // must witness; everyone else must verify clean.
-            let expect_witnesses =
-                s.search.scheme.is_secure() && !s.search.scheme.root_crash_consistent();
+            let expect_witnesses = s.search.scheme.policy().is_secure()
+                && !s.search.scheme.policy().root_crash_consistent();
             assert_eq!(
                 s.search.witnesses_total > 0,
                 expect_witnesses,

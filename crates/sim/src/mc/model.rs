@@ -14,19 +14,20 @@
 //! * the un-settled root increment (`pending`) — Eager's deferred
 //!   `Recovery_root` update, alive between hash completion and the
 //!   next settle point;
-//! * the trust base implied by the scheme's root discipline (derived,
-//!   not stored: see [`RootDiscipline`]).
+//! * the trust base implied by the scheme's [`RootDiscipline`] (read
+//!   from its policy row, not stored).
 //!
-//! Transition granularity encodes each scheme's atomicity claim. A
-//! SCUE/PLP root update happens *inside* [`Action::Issue`] (the paper's
-//! §IV-A/§II-C synchronous update); Eager's lands only at
-//! [`Action::SettleRoot`]; Lazy's never happens. An `Issue` settles any
+//! Transition granularity encodes each discipline's atomicity claim. A
+//! running-root or `Recovery_root` update happens *inside*
+//! [`Action::Issue`] (the paper's §IV-A/§II-C synchronous update); a
+//! deferred one lands only at [`Action::SettleRoot`]; a stale root never
+//! moves. An `Issue` settles any
 //! outstanding pending increment first, because the concrete engine's
 //! persist path settles completed hash updates on entry and every op's
 //! completion cycle covers its own hash latency — two un-settled
 //! increments are concretely unreachable.
 
-use scue::SchemeKind;
+use scue::{RootDiscipline, SchemeKind};
 
 /// Most counter blocks a model instance may track (the concrete
 /// `small_test` op span covers three leaves).
@@ -35,46 +36,6 @@ pub const MAX_BLOCKS: usize = 3;
 /// 8-byte words per persisted line — the torn-write granularity
 /// (mirrors [`scue_nvm::WORDS_PER_LINE`]).
 pub const MODEL_WORDS: u8 = 8;
-
-/// How a scheme maintains the trust base its recovery checks against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RootDiscipline {
-    /// No integrity tree at all (Baseline): nothing to check.
-    Unverified,
-    /// The durable root is never updated during operation (Lazy): the
-    /// trust base stays at its initial value.
-    Stale,
-    /// Root increments are queued and settle asynchronously (Eager):
-    /// a crash inside the window loses them (§III-B).
-    Deferred,
-    /// The root update is atomic with the leaf persist (PLP's persisted
-    /// branch, SCUE's dual-counter `Recovery_root`).
-    Atomic,
-    /// One on-chip register per leaf, updated atomically with the leaf
-    /// (idealised BMF).
-    PerLeaf,
-}
-
-/// The scheme-keyed transition table: every scheme shares the same
-/// actions and differs only in this discipline.
-pub fn discipline(scheme: SchemeKind) -> RootDiscipline {
-    match scheme {
-        SchemeKind::Baseline => RootDiscipline::Unverified,
-        // Triad-NVM's persistence levels stop below the root, so like
-        // Lazy the trust base only moves on (never-modelled) top-level
-        // flushes.
-        SchemeKind::Lazy | SchemeKind::TriadL1 | SchemeKind::TriadL2 => RootDiscipline::Stale,
-        // Zuo's co-persistence covers counter+data; root propagation
-        // still rides an asynchronous queue like Eager.
-        SchemeKind::Eager | SchemeKind::Zuo => RootDiscipline::Deferred,
-        // Phoenix persists the whole updated branch inside the ack and
-        // Freij folds the root delta in synchronously: both atomic.
-        SchemeKind::Plp | SchemeKind::Scue | SchemeKind::Phoenix | SchemeKind::Freij => {
-            RootDiscipline::Atomic
-        }
-        SchemeKind::BmfIdeal => RootDiscipline::PerLeaf,
-    }
-}
 
 /// One in-flight metadata WPQ entry: block `block` being rewritten to
 /// counter value `value`.
@@ -103,8 +64,8 @@ pub struct ModelState {
 pub enum Action {
     /// Persist one op to `block`: settle any pending root increment,
     /// bump the leaf counter, enqueue the WPQ rewrite, and apply the
-    /// scheme's synchronous trust update (Atomic/PerLeaf) or queue the
-    /// deferred one (Deferred).
+    /// scheme's synchronous trust update (running root, `Recovery_root`
+    /// or per-leaf register) or queue the deferred one.
     Issue {
         /// Target counter block.
         block: u8,
@@ -225,7 +186,7 @@ impl ModelState {
         if !self.wpq.is_empty() {
             out.push(Action::DrainWpq);
         }
-        if discipline(scheme) == RootDiscipline::Deferred && self.pending > 0 {
+        if scheme.policy().root == RootDiscipline::Deferred && self.pending > 0 {
             out.push(Action::SettleRoot);
         }
         out
@@ -246,7 +207,7 @@ impl ModelState {
                     block,
                     value: next.issued[b],
                 });
-                if discipline(scheme) == RootDiscipline::Deferred {
+                if scheme.policy().root == RootDiscipline::Deferred {
                     next.pending = 1;
                 }
             }
@@ -277,11 +238,11 @@ impl ModelState {
 /// The trust base's counter total after a crash (pending increments
 /// die with power), or `None` when the discipline keeps no summed root.
 fn trusted_sum(scheme: SchemeKind, state: &ModelState) -> Option<u8> {
-    match discipline(scheme) {
+    match scheme.policy().root {
         RootDiscipline::Unverified | RootDiscipline::PerLeaf => None,
         RootDiscipline::Stale => Some(0),
         RootDiscipline::Deferred => Some(state.total_issued() - state.pending),
-        RootDiscipline::Atomic => Some(state.total_issued()),
+        RootDiscipline::RunningRoot | RootDiscipline::RecoveryRoot => Some(state.total_issued()),
     }
 }
 
@@ -296,7 +257,7 @@ fn trusted_sum(scheme: SchemeKind, state: &ModelState) -> Option<u8> {
 /// torn crash yields detection or repair, never silence — and never a
 /// witness, matching the concrete oracle's `fault_applied` rule.
 pub fn crash_verdict(scheme: SchemeKind, state: &ModelState, mode: CrashMode) -> Verdict {
-    let disc = discipline(scheme);
+    let disc = scheme.policy().root;
     if disc == RootDiscipline::Unverified {
         return Verdict::Unverified;
     }
@@ -346,7 +307,7 @@ mod tests {
         let s2 = s1.apply(SchemeKind::Eager, Action::Issue { block: 1 });
         assert_eq!(s2.pending, 1);
         assert_eq!(s2.issued, [0, 2, 0]);
-        // Atomic schemes never have pending.
+        // Synchronous root disciplines never have pending.
         let a1 = s0.apply(SchemeKind::Scue, Action::Issue { block: 0 });
         assert_eq!(a1.pending, 0);
     }

@@ -122,7 +122,7 @@ impl CaseSpec {
     pub fn replay_spec(&self, scheme: SchemeKind) -> String {
         format!(
             "{}:{}:{}:{}",
-            scheme_token(scheme),
+            scheme.policy().token,
             self.ops,
             self.crash_at,
             self.fault.name()
@@ -144,7 +144,7 @@ impl CaseSpec {
                 .ok_or_else(|| format!("replay spec is missing the {name} field"))
         };
         let scheme_str = field("scheme")?;
-        let scheme = parse_scheme_token(scheme_str)
+        let scheme = SchemeKind::parse(scheme_str)
             .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
         let ops_str = field("ops")?;
         let ops = ops_str
@@ -169,26 +169,6 @@ impl CaseSpec {
             },
         ))
     }
-}
-
-pub(crate) fn scheme_token(scheme: SchemeKind) -> &'static str {
-    match scheme {
-        SchemeKind::Baseline => "baseline",
-        SchemeKind::Lazy => "lazy",
-        SchemeKind::Eager => "eager",
-        SchemeKind::Plp => "plp",
-        SchemeKind::BmfIdeal => "bmf",
-        SchemeKind::Scue => "scue",
-        SchemeKind::Phoenix => "phoenix",
-        SchemeKind::TriadL1 => "triad1",
-        SchemeKind::TriadL2 => "triad2",
-        SchemeKind::Zuo => "zuo",
-        SchemeKind::Freij => "freij",
-    }
-}
-
-pub(crate) fn parse_scheme_token(s: &str) -> Option<SchemeKind> {
-    SchemeKind::ALL.into_iter().find(|&k| scheme_token(k) == s)
 }
 
 /// How one case ended, after crash → recover → audit → resume.
@@ -438,7 +418,8 @@ fn run_case_with(
     if report.outcome.is_failure() {
         let class = if fault_applied {
             CaseClass::DetectedAtRecovery
-        } else if !scheme.root_crash_consistent() && report.outcome == RecoveryOutcome::RootMismatch
+        } else if !scheme.policy().root_crash_consistent()
+            && report.outcome == RecoveryOutcome::RootMismatch
         {
             CaseClass::ExpectedWindowFail
         } else {
@@ -520,7 +501,7 @@ fn run_case_with(
         }
     }
 
-    let class = if !scheme.is_secure() {
+    let class = if !scheme.policy().is_secure() {
         CaseClass::UnverifiedSurvived
     } else if report.repaired_leaves > 0 {
         CaseClass::RepairedCounter
@@ -542,7 +523,7 @@ fn run_case_with(
 /// Baseline into the secure-scheme rules (deliberately unsatisfiable —
 /// the shrinker-demo mode).
 pub fn oracle(scheme: SchemeKind, cfg: &TortureConfig, result: &CaseResult) -> Result<(), String> {
-    let secure = scheme.is_secure() || cfg.strict_baseline;
+    let secure = scheme.policy().is_secure() || cfg.strict_baseline;
     let violation = |why: &str| {
         Err(format!(
             "{scheme}: {why} ({}, fault_applied={}) {}",
@@ -582,7 +563,9 @@ pub fn oracle(scheme: SchemeKind, cfg: &TortureConfig, result: &CaseResult) -> R
             }
         }
         CaseClass::ExpectedWindowFail => {
-            if scheme.root_crash_consistent() || (!scheme.is_secure() && cfg.strict_baseline) {
+            if scheme.policy().root_crash_consistent()
+                || (!scheme.policy().is_secure() && cfg.strict_baseline)
+            {
                 violation("root-crash-consistent scheme hit the crash window")
             } else if cfg.strict_windows {
                 violation("crash-window failure under the strict-windows oracle")

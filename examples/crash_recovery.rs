@@ -41,7 +41,7 @@ fn main() {
             system.crash();
             row.push(outcome_symbol(system.engine_mut().recover().outcome));
         }
-        println!("{:>10} | {}", scheme.name(), row.join(", "));
+        println!("{:>10} | {}", scheme.policy().name, row.join(", "));
     }
 
     println!();

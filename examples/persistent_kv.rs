@@ -44,7 +44,7 @@ fn main() {
     for (scheme, result, _) in &results {
         println!(
             "{:>9} | {:>12} | {:>8.3}x | {:>14.1}",
-            scheme.name(),
+            scheme.policy().name,
             result.cycles,
             result.cycles as f64 / base,
             result.mean_write_latency()
