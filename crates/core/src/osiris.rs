@@ -138,6 +138,9 @@ pub fn recover_block(
 /// sideband are refreshed to match the restored counters (Osiris
 /// recomputes them as part of restoring the block).
 ///
+/// Leaves are walked in index order, so the repairs written back before
+/// an unrecoverable leaf are the same in every process.
+///
 /// # Errors
 ///
 /// Propagates the first unrecoverable line.
@@ -149,12 +152,13 @@ pub fn recover_image(
     let geometry = ctx.geometry().clone();
     let key = *ctx.key();
     let mut report = OsirisReport::default();
-    let touched: Vec<NodeId> = mem
+    let mut touched: Vec<NodeId> = mem
         .store()
         .iter()
         .filter_map(|(addr, _)| geometry.node_at_addr(addr))
         .filter(|node| node.level == 0)
         .collect();
+    touched.sort_unstable_by_key(|leaf| leaf.index);
     for leaf in touched {
         let addr = geometry.node_addr(leaf);
         let stale = CounterBlock::from_line(&mem.store().read_line(addr));
@@ -292,6 +296,55 @@ mod tests {
         assert_eq!(report.replay_steps, 0);
         assert!(report.blocks > 0);
         assert_eq!(mem.recover().outcome, RecoveryOutcome::Clean);
+    }
+
+    #[test]
+    fn partial_repair_is_the_same_on_every_engine() {
+        // Seven torn counter blocks and, between them, one leaf whose
+        // data line no replay candidate can match: the walk stops there,
+        // keeping the repairs it wrote before. Engines built
+        // independently (each store with its own hash order) must end
+        // with identical images.
+        let image = || {
+            let cfg = SecureMemConfig::small_test(SchemeKind::Scue).with_counter_repair(true);
+            let mut mem = SecureMemory::new(cfg);
+            mem.enable_fault_injection();
+            let mut now = 0;
+            for round in 0..3u8 {
+                for leaf in 0..8u64 {
+                    for line in 0..4u64 {
+                        let addr = LineAddr::new(leaf * LINES_PER_LEAF + line);
+                        now = mem.persist_data(addr, [round + 1; 64], now).unwrap();
+                    }
+                }
+            }
+            let geometry = mem.context().geometry().clone();
+            let mut plan = scue_nvm::FaultPlan::none().with_fault(scue_nvm::NvmFault::BitFlip {
+                addr: LineAddr::new(3 * LINES_PER_LEAF),
+                byte: 0,
+                bit: 0,
+            });
+            for leaf in [0, 1, 2, 4, 5, 6, 7] {
+                plan = plan.with_fault(scue_nvm::NvmFault::TornWrite {
+                    addr: geometry.node_addr(NodeId::new(0, leaf)),
+                    words_new: 1,
+                });
+            }
+            let records = mem.crash_with_faults(now, &plan);
+            assert!(records.iter().all(|r| r.applied));
+            let report = mem.recover();
+            assert!(
+                report.outcome.is_failure(),
+                "leaf 3's data is unrecoverable"
+            );
+            let mut lines: Vec<_> = mem.store().iter().collect();
+            lines.sort_unstable_by_key(|(addr, _)| addr.raw());
+            lines
+        };
+        let first = image();
+        for _ in 0..5 {
+            assert!(image() == first, "repairs depend on the store's hash order");
+        }
     }
 
     #[test]

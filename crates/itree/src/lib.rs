@@ -1,21 +1,12 @@
-//! Integrity-tree substrate: geometry, node formats and tree logic.
+//! Integrity-tree substrate: geometry, node formats and tree logic for
+//! the SGX-style Integrity Tree (§II-D, Fig. 4).
 //!
-//! The three tree families from the paper's background (§II-D):
-//!
-//! * [`mt`] — the plain Merkle Tree over user data (Fig. 2), kept as the
-//!   pedagogical baseline;
-//! * [`bmt`] — the Bonsai Merkle Tree over counter blocks (Fig. 3), whose
-//!   child→parent hashing direction is what makes bottom-up reconstruction
-//!   natural;
-//! * [`sit`] — the SGX-style Integrity Tree (Fig. 4): every node is eight
-//!   56-bit counters plus one 64-bit HMAC keyed by the *parent's* counter,
-//!   the dependency SCUE decouples.
-//!
-//! Shared machinery:
-//!
+//! * [`sit`] — the SIT itself: every node is eight 56-bit counters plus
+//!   one 64-bit HMAC keyed by the *parent's* counter, the dependency SCUE
+//!   decouples;
 //! * [`geometry`] — the 8-ary level structure over the 16 GB address
 //!   space (9 levels, Table II) and the node↔address bijection;
-//! * [`node`] — packed 64 B SIT/BMT node codecs and the dummy-counter sum;
+//! * [`node`] — the packed 64 B SIT node codec and the dummy-counter sum;
 //! * [`root`] — the on-chip non-volatile root registers (Running_root /
 //!   Recovery_root);
 //! * [`morph`] — analytic VAULT/MorphCtr wider-node organisations (the
@@ -27,17 +18,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bmt;
 pub mod geometry;
 pub mod morph;
-pub mod mt;
 pub mod node;
 pub mod root;
 pub mod sideband;
 pub mod sit;
 
 pub use geometry::{NodeId, Parent, TreeGeometry};
-pub use node::{BmtNode, SitNode, COUNTER_MASK};
+pub use node::{SitNode, COUNTER_MASK};
 pub use root::RootRegister;
 pub use sideband::MacSideband;
 pub use sit::SitContext;

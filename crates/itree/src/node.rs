@@ -1,11 +1,9 @@
-//! Packed 64 B node formats for SIT and BMT (Fig. 4).
+//! The packed 64 B SIT node format (Fig. 4).
 //!
 //! An SIT node is eight 56-bit counters plus one 64-bit HMAC: exactly
 //! `8 × 7 + 8 = 64` bytes. The 56-bit range (~10^16) exceeds NVM endurance
 //! (10^7–10^12 writes), so intermediate counters never overflow in a
 //! device lifetime — which is why SCUE's counter sums are safe.
-//!
-//! A BMT node is eight 64-bit HMACs of its children.
 
 use scue_nvm::LINE_BYTES;
 use scue_util::obs::span;
@@ -133,65 +131,6 @@ impl Default for SitNode {
     }
 }
 
-/// A Bonsai-Merkle-Tree node: eight HMACs of its eight children.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BmtNode {
-    hmacs: [u64; COUNTERS_PER_NODE],
-}
-
-impl BmtNode {
-    /// A zero node.
-    pub fn new() -> Self {
-        Self {
-            hmacs: [0; COUNTERS_PER_NODE],
-        }
-    }
-
-    /// Reads the HMAC for child `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 8`.
-    pub fn child_hmac(&self, slot: usize) -> u64 {
-        self.hmacs[slot]
-    }
-
-    /// Sets the HMAC for child `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 8`.
-    pub fn set_child_hmac(&mut self, slot: usize, hmac: u64) {
-        self.hmacs[slot] = hmac;
-    }
-
-    /// Packs to a 64 B line (eight LE u64s).
-    pub fn to_line(&self) -> Line {
-        let _span = span::enter("codec.encode");
-        let mut line = [0u8; LINE_BYTES];
-        for (i, &h) in self.hmacs.iter().enumerate() {
-            line[i * 8..(i + 1) * 8].copy_from_slice(&h.to_le_bytes());
-        }
-        line
-    }
-
-    /// Unpacks a node from a 64 B line.
-    pub fn from_line(line: &Line) -> Self {
-        let _span = span::enter("codec.decode");
-        let mut hmacs = [0u64; COUNTERS_PER_NODE];
-        for (i, hmac) in hmacs.iter_mut().enumerate() {
-            *hmac = u64::from_le_bytes(line[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-        }
-        Self { hmacs }
-    }
-}
-
-impl Default for BmtNode {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,16 +189,6 @@ mod tests {
     #[test]
     fn zero_node_packs_to_zero_line() {
         assert_eq!(SitNode::new().to_line(), [0u8; LINE_BYTES]);
-        assert_eq!(BmtNode::new().to_line(), [0u8; LINE_BYTES]);
-    }
-
-    #[test]
-    fn bmt_roundtrip_exact() {
-        let mut node = BmtNode::new();
-        for i in 0..8 {
-            node.set_child_hmac(i, 0x1111_2222_3333_4444 * (i as u64 + 1));
-        }
-        assert_eq!(BmtNode::from_line(&node.to_line()), node);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Counting global allocator: process-wide and per-thread heap
-//! accounting with one relaxed atomic load of overhead when off.
+//! Counting global allocator: per-thread heap accounting with one
+//! relaxed atomic load of overhead when off.
 //!
 //! Installing a `#[global_allocator]` in this crate means every binary
 //! in the workspace allocates through [`CountingAlloc`], which forwards
 //! to [`std::alloc::System`] and — only when [`set_enabled`] turned
-//! counting on — bumps a set of process counters (allocs, frees, bytes,
-//! live bytes, peak) plus two thread-local counters the span profiler
+//! counting on — bumps two thread-local counters the span profiler
 //! ([`super::span`]) samples at span boundaries to attribute
 //! allocations to named spans.
 //!
@@ -14,12 +13,9 @@
 //! * **Attribution counts allocation events, not net live memory** —
 //!   per-thread counters only ever increase, so a span's `allocs` is
 //!   "allocations made while the span was open on this thread".
-//! * **Frees are process-global only.** Attributing a free to the span
-//!   that allocated the block would need a per-block side table, which
-//!   would itself allocate on the hot path.
-//! * **Live/peak bytes are signed under the hood**: blocks allocated
-//!   before counting was enabled may be freed after, so the live
-//!   counter can go transiently negative; snapshots clamp at zero.
+//! * **Frees are not counted.** Attributing a free to the span that
+//!   allocated the block would need a per-block side table, which would
+//!   itself allocate on the hot path.
 //! * **Profiler bookkeeping is excluded**: the span machinery wraps its
 //!   own map/vec operations in [`pause_thread_attribution`] so the act
 //!   of measuring never shows up in the measurement.
@@ -31,19 +27,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide counting switch; off by default.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FREES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_BYTES_FREED: AtomicU64 = AtomicU64::new(0);
-/// Live bytes; signed because frees of pre-enable blocks can outrun
-/// counted allocations.
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -79,10 +66,6 @@ fn note_alloc(size: usize) {
 
 #[cold]
 fn note_alloc_slow(size: usize) {
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_BYTES_ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
     // TLS may already be torn down during thread exit; skip silently.
     let _ = PAUSED.try_with(|paused| {
         if paused.get() == 0 {
@@ -90,16 +73,6 @@ fn note_alloc_slow(size: usize) {
             let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + size as u64));
         }
     });
-}
-
-#[inline]
-fn note_free(size: usize) {
-    if !is_enabled() {
-        return;
-    }
-    TOTAL_FREES.fetch_add(1, Ordering::Relaxed);
-    TOTAL_BYTES_FREED.fetch_add(size as u64, Ordering::Relaxed);
-    LIVE_BYTES.fetch_sub(size as i64, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -121,71 +94,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        note_free(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
-            note_free(layout.size());
             note_alloc(new_size);
         }
         new_ptr
     }
-}
-
-/// A process-wide heap-counter snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Counted allocation events.
-    pub allocs: u64,
-    /// Counted deallocation events.
-    pub frees: u64,
-    /// Bytes requested by counted allocations.
-    pub bytes_allocated: u64,
-    /// Bytes released by counted deallocations.
-    pub bytes_freed: u64,
-    /// Live counted bytes (clamped at zero).
-    pub live_bytes: u64,
-    /// High-water mark of live counted bytes.
-    pub peak_bytes: u64,
-}
-
-impl AllocStats {
-    /// Reads the current process-wide counters.
-    pub fn snapshot() -> Self {
-        Self {
-            allocs: TOTAL_ALLOCS.load(Ordering::Relaxed),
-            frees: TOTAL_FREES.load(Ordering::Relaxed),
-            bytes_allocated: TOTAL_BYTES_ALLOCATED.load(Ordering::Relaxed),
-            bytes_freed: TOTAL_BYTES_FREED.load(Ordering::Relaxed),
-            live_bytes: LIVE_BYTES.load(Ordering::Relaxed).max(0) as u64,
-            peak_bytes: PEAK_BYTES.load(Ordering::Relaxed).max(0) as u64,
-        }
-    }
-
-    /// The snapshot as a JSON object.
-    pub fn to_json(&self) -> super::Json {
-        use super::Json;
-        Json::obj()
-            .with("allocs", Json::U64(self.allocs))
-            .with("frees", Json::U64(self.frees))
-            .with("bytes_allocated", Json::U64(self.bytes_allocated))
-            .with("bytes_freed", Json::U64(self.bytes_freed))
-            .with("live_bytes", Json::U64(self.live_bytes))
-            .with("peak_bytes", Json::U64(self.peak_bytes))
-    }
-}
-
-/// Zeroes the process-wide counters. Only meaningful while no other
-/// thread is allocating with counting enabled.
-pub fn reset() {
-    TOTAL_ALLOCS.store(0, Ordering::Relaxed);
-    TOTAL_FREES.store(0, Ordering::Relaxed);
-    TOTAL_BYTES_ALLOCATED.store(0, Ordering::Relaxed);
-    TOTAL_BYTES_FREED.store(0, Ordering::Relaxed);
-    LIVE_BYTES.store(0, Ordering::Relaxed);
-    PEAK_BYTES.store(0, Ordering::Relaxed);
 }
 
 /// The calling thread's cumulative `(allocations, bytes)` — the pair
@@ -203,8 +120,8 @@ pub fn reset_thread_counts() {
     let _ = THREAD_BYTES.try_with(|c| c.set(0));
 }
 
-/// Suspends per-thread attribution while held (process counters keep
-/// counting). Re-entrant: nested guards stack.
+/// Suspends per-thread attribution while held. Re-entrant: nested
+/// guards stack.
 #[must_use = "attribution resumes when the guard drops"]
 pub struct PauseGuard {
     _private: (),
@@ -227,13 +144,17 @@ impl Drop for PauseGuard {
 mod tests {
     use super::*;
 
-    /// Serialises tests that toggle the process-wide switch (other
-    /// threads' allocations may bleed into process counters, so tests
-    /// assert only on thread-local attribution and relative growth).
-    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
+    /// Serialises tests that toggle the process-wide switch. A failed
+    /// test poisons the mutex; later tests still take it.
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
         use std::sync::{Mutex, OnceLock};
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-        let _guard = GATE.get_or_init(|| Mutex::new(())).lock().unwrap();
+        let gate = GATE.get_or_init(|| Mutex::new(()));
+        gate.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn with_counting<R>(f: impl FnOnce() -> R) -> R {
+        let _gate = gate();
         reset_thread_counts();
         set_enabled(true);
         let r = f();
@@ -244,6 +165,7 @@ mod tests {
 
     #[test]
     fn disabled_counts_nothing_on_thread() {
+        let _gate = gate();
         set_enabled(false);
         reset_thread_counts();
         let v = vec![0u8; 4096];
@@ -286,27 +208,5 @@ mod tests {
             drop(v);
             assert!(after.0 > before.0, "attribution resumes after the guard");
         });
-    }
-
-    #[test]
-    fn process_counters_track_alloc_and_free() {
-        with_counting(|| {
-            let before = AllocStats::snapshot();
-            let v = vec![0u8; 1 << 16];
-            let mid = AllocStats::snapshot();
-            drop(v);
-            let after = AllocStats::snapshot();
-            assert!(mid.allocs > before.allocs);
-            assert!(mid.bytes_allocated - before.bytes_allocated >= 1 << 16);
-            assert!(after.frees > before.frees);
-            assert!(after.bytes_freed - before.bytes_freed >= 1 << 16);
-            assert!(mid.peak_bytes >= 1 << 16);
-        });
-    }
-
-    #[test]
-    fn stats_json_parses() {
-        let rendered = AllocStats::snapshot().to_json().render();
-        assert!(super::super::Json::parse(&rendered).is_ok(), "{rendered}");
     }
 }

@@ -92,14 +92,11 @@ t6=$(date +%s%3N)
 cargo run --release --offline -q -p scue-sim --bin scue-check-metrics -- \
     "$metrics_tmp/mc.json"
 # A truncated search proves nothing — the smoke scope must be
-# exhaustive, and witnesses must come from exactly the five window
-# schemes (six of the eleven schemes report zero).
+# exhaustive. check-metrics above holds each exhaustive scheme to its
+# policy row: witnesses exactly on the secure schemes that are not root
+# crash consistent.
 if grep -q '"exhaustive":false' "$metrics_tmp/mc.json"; then
     echo "ERROR: scue-mc smoke search was truncated" >&2
-    exit 1
-fi
-if [ "$(grep -o '"witnesses":0' "$metrics_tmp/mc.json" | wc -l)" -ne 6 ]; then
-    echo "ERROR: expected witnesses from exactly the five window schemes" >&2
     exit 1
 fi
 
