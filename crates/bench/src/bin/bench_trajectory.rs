@@ -24,6 +24,7 @@ use scue_crypto::cme::{one_time_pad, CounterBlock};
 use scue_crypto::hmac::data_line_hmac;
 use scue_crypto::SecretKey;
 use scue_nvm::LineAddr;
+use scue_sim::cli::{self, Flags};
 use scue_util::bench::black_box;
 use scue_util::obs::{alloc, Json};
 use std::time::Instant;
@@ -101,24 +102,17 @@ fn primitive_median(samples: u64, iters: u64, mut f: impl FnMut(u64)) -> f64 {
 }
 
 fn main() {
-    let mut out = format!("BENCH_{PR}.json");
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = v,
-                None => {
-                    eprintln!("bench_trajectory: --out requires a value");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("bench_trajectory: unknown flag `{other}`");
-                eprintln!("usage: bench_trajectory [--out PATH]");
-                std::process::exit(2);
+    let out = cli::parse_or_exit("bench_trajectory", "[--out PATH]", |tokens, _| {
+        let mut out = format!("BENCH_{PR}.json");
+        let mut flags = Flags::new(tokens);
+        while let Some(flag) = flags.next() {
+            match flag.as_str() {
+                "--out" => out = flags.value(&flag)?,
+                other => return Err(cli::unknown(other)),
             }
         }
-    }
+        Ok(out)
+    });
 
     let ops = env_u64("SCUE_BENCH_OPS", 8_000);
     let samples = env_u64("SCUE_BENCH_SAMPLES", 5);
@@ -218,7 +212,7 @@ fn main() {
         )
         .with(
             "provenance",
-            scue_bench::provenance(1, started.elapsed().as_millis() as u64),
+            cli::provenance(1, started.elapsed().as_millis() as u64),
         );
     if let Err(e) = std::fs::write(&out, doc.render_doc()) {
         eprintln!("bench_trajectory: cannot write {out}: {e}");

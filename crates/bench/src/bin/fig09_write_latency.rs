@@ -13,8 +13,9 @@
 use scue::SchemeKind;
 use scue_bench::{
     banner, figure_doc, jobs_or_die, print_latency_percentile_table, print_scheme_table,
-    provenance, rows_to_json, scale, seed, write_figure_json,
+    rows_to_json, scale, seed, write_figure_json,
 };
+use scue_sim::cli::provenance;
 use scue_sim::experiment::{comparison_grid, mean_of, Metric};
 use scue_util::obs::Json;
 use scue_workloads::Workload;

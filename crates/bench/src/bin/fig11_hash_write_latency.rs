@@ -8,10 +8,10 @@
 //! `--jobs` count apart from its trailing `provenance` object.
 
 use scue_bench::{
-    banner, figure_doc, hash_means, hash_rows_to_json, jobs_or_die, provenance, scale, seed,
-    write_figure_json,
+    banner, figure_doc, hash_means, hash_rows_to_json, jobs_or_die, scale, seed, write_figure_json,
 };
 use scue_crypto::engine::PAPER_HASH_LATENCIES;
+use scue_sim::cli::provenance;
 use scue_sim::experiment::{hash_latency_sweep, Metric};
 use scue_workloads::Workload;
 

@@ -10,8 +10,9 @@
 
 use scue::fastrec::{recovery_cost, FastRecovery, RecoveryCost, FIG13_CACHE_SIZES};
 use scue::{SchemeKind, SecureMemConfig, SecureMemory};
-use scue_bench::{banner, figure_doc, jobs_or_die, provenance, write_figure_json};
+use scue_bench::{banner, figure_doc, jobs_or_die, write_figure_json};
 use scue_nvm::LineAddr;
+use scue_sim::cli::provenance;
 use scue_util::obs::Json;
 use scue_util::par;
 

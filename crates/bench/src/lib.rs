@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 
 use scue::SchemeKind;
+use scue_sim::cli;
 use scue_sim::experiment::{HashSweepRow, WorkloadRow};
 use scue_util::obs::Json;
 use scue_util::par;
@@ -66,53 +67,11 @@ where
     par::run_indexed(jobs, workloads, |_, &workload, _| f(workload))
 }
 
-/// Parses a bench bin's command line — `--jobs N` is the only flag —
-/// returning the explicit job count, if any. Errors name the flag and
-/// value (`--jobs`) or variable (`SCUE_JOBS`) exactly like the CLI
-/// bins.
-pub fn parse_bench_args(
-    tokens: impl Iterator<Item = String>,
-    env_jobs: Option<&str>,
-) -> Result<usize, String> {
-    let mut it = tokens;
-    let mut flag_jobs = None;
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--jobs requires a value".to_string())?;
-                let jobs: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid value for --jobs: `{v}`"))?;
-                flag_jobs = Some(jobs);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    par::resolve_jobs_from(flag_jobs, env_jobs)
-}
-
 /// Resolves the bench bin's job count from the live process arguments
-/// and environment, exiting 2 with a usage line on any error.
+/// (`--jobs N` is the only flag) and `SCUE_JOBS`, exiting 2 with a
+/// usage line on any error.
 pub fn jobs_or_die(bin: &str) -> usize {
-    let env = std::env::var(par::JOBS_ENV).ok();
-    parse_bench_args(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|msg| {
-        eprintln!("{bin}: {msg}");
-        eprintln!("usage: {bin} [--jobs N]");
-        std::process::exit(2);
-    })
-}
-
-/// The run-provenance object attached to figure-twin JSON documents:
-/// the fan-out width and wall-clock. Strip this object before diffing
-/// documents across job counts — everything else is byte-identical.
-pub fn provenance(jobs: usize, wall_ms: u64) -> Json {
-    Json::obj()
-        .with("jobs", Json::U64(jobs as u64))
-        .with("wall_ms", Json::U64(wall_ms))
+    cli::parse_or_exit(bin, "[--jobs N]", cli::jobs_only)
 }
 
 /// Prints a scheme-comparison table (Figs. 9–10 layout) and the per-scheme
@@ -268,33 +227,6 @@ mod tests {
             let names = parallel_sweep(jobs, &workloads, |w| w.name().to_string());
             assert_eq!(names, vec!["array", "mcf", "queue"], "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn bench_args_resolve_jobs_with_named_errors() {
-        let parse = |tokens: &[&str], env: Option<&str>| {
-            parse_bench_args(tokens.iter().map(|s| s.to_string()), env)
-        };
-        assert_eq!(parse(&["--jobs", "4"], None), Ok(4));
-        assert_eq!(parse(&["--jobs", "4"], Some("9")), Ok(4));
-        assert_eq!(parse(&[], Some("9")), Ok(9));
-        assert!(parse(&[], None).unwrap() >= 1);
-        for bad in ["0", "many", ""] {
-            let err = parse(&["--jobs", bad], None).unwrap_err();
-            assert!(
-                err.contains("--jobs") && err.contains(&format!("`{bad}`")),
-                "{err}"
-            );
-            let env_err = parse(&[], Some(bad)).unwrap_err();
-            assert!(env_err.contains("SCUE_JOBS"), "{env_err}");
-        }
-        assert!(parse(&["--jobs"], None).unwrap_err().contains("--jobs"));
-        assert!(parse(&["--what"], None).unwrap_err().contains("--what"));
-    }
-
-    #[test]
-    fn provenance_shape() {
-        assert_eq!(provenance(4, 120).render(), r#"{"jobs":4,"wall_ms":120}"#);
     }
 
     #[test]

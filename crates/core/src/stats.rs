@@ -112,11 +112,6 @@ impl EngineStats {
     pub fn mean_write_latency(&self) -> f64 {
         self.write_latency.mean()
     }
-
-    /// Mean read latency in cycles.
-    pub fn mean_read_latency(&self) -> f64 {
-        self.read_latency.mean()
-    }
 }
 
 #[cfg(test)]

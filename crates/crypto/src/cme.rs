@@ -134,11 +134,6 @@ impl CounterBlock {
         Ok(())
     }
 
-    /// Overwrites the major counter (recovery/attack tooling).
-    pub fn set_major(&mut self, value: u64) {
-        self.major = value;
-    }
-
     /// Sum of all counters in the block, weighing one major-counter step as
     /// a full minor wrap. This is the quantity the SIT *dummy counter* and
     /// counter-summing recovery aggregate over leaf nodes; using the wrap

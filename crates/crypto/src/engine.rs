@@ -126,12 +126,6 @@ impl HashEngine {
         now + (count - 1) / self.ports + self.latency
     }
 
-    /// Serial-chain counterpart of [`HashEngine::parallel_latency`].
-    pub fn serial_latency(&mut self, now: Cycle, count: u64) -> Cycle {
-        self.issued += count;
-        now + count * self.latency
-    }
-
     /// Resets pipeline occupancy (e.g., across simulated crashes) without
     /// clearing lifetime statistics.
     pub fn reset_occupancy(&mut self) {

@@ -8,28 +8,31 @@
 //! ```
 //!
 //! Dispatches on the document's `kind` tag (Chrome traces are spotted
-//! by their `traceEvents` array). For run metrics: expected schema
-//! version, every required section present, write-latency percentiles
-//! ordered (`p50 <= p95 <= p99 <= max`), a positive `config.jobs`
-//! provenance field, and — on crash runs — an integer
-//! `recovery.repaired_leaves`. For torture campaigns: expected schema
-//! version, non-empty scheme tallies whose outcome histograms partition
-//! the cases and whose `repaired_leaves` covers the `repaired_counter`
-//! outcome count, a violation list consistent with `total_violations`,
-//! and — when present — a positive `provenance.jobs`. For
-//! `scue-crashtest` kill campaigns: the same tally discipline plus
-//! per-scheme `open_errors`/`fallbacks` bounded by the case count and a
-//! `total_fallbacks` cross-check. For `scue-mc` model-checker
+//! by their `traceEvents` array). Every versioned document must carry
+//! its kind's schema version, and — when present — a positive
+//! `provenance.jobs`. For run metrics: every required section present,
+//! write-latency percentiles ordered (`p50 <= p95 <= p99 <= max`), a
+//! positive `config.jobs` and — on crash runs — an integer
+//! `recovery.repaired_leaves`. The three campaign documents share one
+//! checker: integer run parameters, non-empty scheme tallies whose
+//! outcome histograms partition the cases, and per-scheme violation
+//! counts that sum to `total_violations` and match the violation list.
+//! On top of that, `scue-torture` tallies must cover their
+//! `repaired_counter` outcomes with `repaired_leaves`; `scue-attack`
+//! tallies must partition again per attack kind, count one latency
+//! sample per online detection and never show Baseline detecting;
+//! `scue-crashtest` tallies bound `open_errors`/`fallbacks` by the case
+//! count and sum to `total_fallbacks`. For `scue-mc` model-checker
 //! documents: per-scheme verdict tallies partitioning the crash cases,
 //! witness lists consistent with the witness cap, truncation counters
 //! that agree with every `exhaustive` claim, and — for each exhaustive
 //! search — witnesses exactly on the secure schemes without root crash
-//! consistency. For
-//! `scue-profile` documents: per-scheme span tables with coherent
-//! stats (`self_ns <= total_ns`), and — on the monotonic clock only,
-//! where durations are real nanoseconds — at least 90% of root wall
-//! time attributed to named spans. For `scue-bench-trajectory`
-//! snapshots: positive throughput and primitive medians.
+//! consistency. For `scue-profile` documents: per-scheme span tables
+//! with coherent stats (`self_ns <= total_ns`), and — on the monotonic
+//! clock only, where durations are real nanoseconds — at least 90% of
+//! root wall time attributed to named spans. For
+//! `scue-bench-trajectory` snapshots: positive throughput and primitive
+//! medians.
 //!
 //! `--compare-trajectory` applies the regression gate between two
 //! snapshots (DESIGN.md §12): engine throughput may regress at most
@@ -88,28 +91,94 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// `msg`, prefixed with `ctx` (a scheme or section name) when there is
+/// one.
+fn at(ctx: &str, msg: String) -> String {
+    if ctx.is_empty() {
+        msg
+    } else {
+        format!("{ctx}: {msg}")
+    }
+}
+
+/// `obj.key`, which must be present.
+fn field<'a>(obj: &'a Json, ctx: &str, key: &str) -> Result<&'a Json, String> {
+    obj.get(key)
+        .ok_or_else(|| at(ctx, format!("missing `{key}`")))
+}
+
+/// `obj.key` as an unsigned integer.
+fn int(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
+    obj.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| at(ctx, format!("`{key}` is not an integer")))
+}
+
+/// `obj.key` as a number (integers included).
+fn number(obj: &Json, ctx: &str, key: &str) -> Result<f64, String> {
+    obj.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| at(ctx, format!("`{key}` is not a number")))
+}
+
+/// `obj.key` as a string.
+fn string<'a>(obj: &'a Json, ctx: &str, key: &str) -> Result<&'a str, String> {
+    obj.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| at(ctx, format!("`{key}` is not a string")))
+}
+
+/// `obj.key` as a boolean.
+fn boolean(obj: &Json, ctx: &str, key: &str) -> Result<bool, String> {
+    match obj.get(key) {
+        Some(Json::Bool(b)) => Ok(*b),
+        _ => Err(at(ctx, format!("`{key}` is not a boolean"))),
+    }
+}
+
+/// `obj.key` as an array, which must not be empty.
+fn array<'a>(obj: &'a Json, ctx: &str, key: &str) -> Result<&'a [Json], String> {
+    let items = obj
+        .get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| at(ctx, format!("`{key}` is not an array")))?;
+    if items.is_empty() {
+        return Err(at(ctx, format!("`{key}` is empty")));
+    }
+    Ok(items)
+}
+
+/// The document's `schema_version`, which must be `expected`.
+fn schema(doc: &Json, expected: u64) -> Result<(), String> {
+    let version = int(doc, "", "schema_version")?;
+    if version != expected {
+        return Err(format!("schema_version {version}, expected {expected}"));
+    }
+    Ok(())
+}
+
+/// The optional `provenance` object the campaign, profile and figure
+/// bins export: when present, a positive integer job count.
+fn check_provenance(doc: &Json) -> Result<(), String> {
+    let Some(provenance) = doc.get("provenance") else {
+        return Ok(());
+    };
+    if int(provenance, "provenance", "jobs")? == 0 {
+        return Err("provenance.jobs must be at least 1".to_string());
+    }
+    Ok(())
+}
+
 fn check(doc: &Json) -> Result<(), String> {
     for key in REQUIRED_SECTIONS {
         if doc.get(key).is_none() {
             return Err(format!("missing required section `{key}`"));
         }
     }
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != METRICS_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {METRICS_SCHEMA_VERSION}"
-        ));
-    }
+    schema(doc, METRICS_SCHEMA_VERSION)?;
     for section in ["write_latency", "read_latency"] {
-        let lat = doc.get(section).ok_or("unreachable")?;
-        let quantile = |name: &str| {
-            lat.get(name)
-                .and_then(Json::as_u64)
-                .ok_or(format!("{section}.{name} is not an integer"))
-        };
+        let lat = field(doc, "", section)?;
+        let quantile = |name| int(lat, section, name);
         let (p50, p95, p99, max) = (
             quantile("p50")?,
             quantile("p95")?,
@@ -125,304 +194,63 @@ fn check(doc: &Json) -> Result<(), String> {
     doc.get("series")
         .and_then(Json::as_arr)
         .ok_or("series is not an array")?;
-    doc.get("mdcache")
-        .and_then(|m| m.get("hit_rate"))
-        .and_then(Json::as_f64)
-        .ok_or("mdcache.hit_rate is not a number")?;
-    let jobs = doc
-        .get("config")
-        .and_then(|c| c.get("jobs"))
-        .and_then(Json::as_u64)
-        .ok_or("config.jobs is not an integer")?;
-    if jobs == 0 {
+    number(field(doc, "", "mdcache")?, "mdcache", "hit_rate")?;
+    if int(field(doc, "", "config")?, "config", "jobs")? == 0 {
         return Err("config.jobs must be at least 1".to_string());
     }
     if let Some(recovery) = doc.get("recovery") {
-        recovery
-            .get("repaired_leaves")
-            .and_then(Json::as_u64)
-            .ok_or("recovery.repaired_leaves is not an integer")?;
+        int(recovery, "recovery", "repaired_leaves")?;
     }
-    doc.get("trace")
-        .and_then(|t| t.get("dropped_events"))
-        .and_then(Json::as_u64)
-        .ok_or("trace.dropped_events is not an integer")?;
+    int(field(doc, "", "trace")?, "trace", "dropped_events")?;
     Ok(())
 }
 
-/// Validates the optional `provenance` object exported by the torture
-/// and figure bins: when present, a positive integer job count.
-fn check_provenance(doc: &Json) -> Result<(), String> {
-    let Some(provenance) = doc.get("provenance") else {
-        return Ok(());
-    };
-    let jobs = provenance
-        .get("jobs")
-        .and_then(Json::as_u64)
-        .ok_or("provenance.jobs is not an integer")?;
-    if jobs == 0 {
-        return Err("provenance.jobs must be at least 1".to_string());
-    }
-    Ok(())
+/// The tallies of `entry.outcomes` over `classes`, in order.
+fn tallies(entry: &Json, ctx: &str, classes: &[&str]) -> Result<Vec<u64>, String> {
+    let outcomes = field(entry, ctx, "outcomes")?;
+    let ctx = format!("{ctx}: outcomes");
+    classes
+        .iter()
+        .map(|class| int(outcomes, &ctx, class))
+        .collect()
 }
 
-/// Validates a `scue-torture` campaign document.
-fn check_torture(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != TORTURE_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {TORTURE_SCHEMA_VERSION}"
-        ));
-    }
-    for key in ["seed", "points", "ops", "total_violations"] {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("`{key}` is not an integer"))?;
-    }
-    let schemes = doc
-        .get("schemes")
-        .and_then(Json::as_arr)
-        .ok_or("`schemes` is not an array")?;
-    if schemes.is_empty() {
-        return Err("`schemes` is empty".to_string());
+/// The checks every campaign document (torture, attack, crashtest)
+/// shares: its schema `version`; the integer `seed`,
+/// `total_violations` and `keys`; a non-empty `schemes` list whose
+/// outcome tallies over `classes` partition each scheme's cases, whose
+/// per-scheme violation counts sum to `total_violations`, and which
+/// passes the kind's own `per_scheme` rules (given the entry, its name,
+/// case count and tallies); a violation list of that total length whose
+/// entries carry the string `violation_keys` (a `replay` must be a
+/// `--replay` command); and the optional provenance.
+fn check_campaign(
+    doc: &Json,
+    version: u64,
+    keys: &[&str],
+    classes: &[&str],
+    violation_keys: &[&str],
+    mut per_scheme: impl FnMut(&Json, &str, u64, &[u64]) -> Result<(), String>,
+) -> Result<(), String> {
+    schema(doc, version)?;
+    for key in ["seed", "total_violations"].iter().chain(keys) {
+        int(doc, "", key)?;
     }
     let mut violation_sum = 0;
-    for entry in schemes {
-        let name = entry
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("scheme entry without a `scheme` name")?;
-        let cases = entry
-            .get("cases")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `cases` is not an integer"))?;
-        let outcomes = entry
-            .get("outcomes")
-            .ok_or(format!("{name}: missing `outcomes`"))?;
-        let mut sum = 0;
-        for class in CaseClass::ALL {
-            sum += outcomes
-                .get(class.name())
-                .and_then(Json::as_u64)
-                .ok_or(format!("{name}: outcomes.{} missing", class.name()))?;
-        }
-        if sum != cases {
-            return Err(format!(
-                "{name}: outcome tallies sum to {sum}, expected {cases} cases"
-            ));
-        }
-        // Every repaired_counter case repairs at least one leaf, so the
-        // per-scheme repaired-leaf total must cover the outcome count.
-        let repaired_leaves = entry
-            .get("repaired_leaves")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `repaired_leaves` is not an integer"))?;
-        let repaired_cases = outcomes
-            .get(CaseClass::RepairedCounter.name())
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if repaired_leaves < repaired_cases {
-            return Err(format!(
-                "{name}: repaired_leaves {repaired_leaves} below \
-                 repaired_counter outcome count {repaired_cases}"
-            ));
-        }
-        entry
-            .get("history_dropped")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `history_dropped` is not an integer"))?;
-        violation_sum += entry
-            .get("oracle_violations")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `oracle_violations` is not an integer"))?;
-    }
-    let total = doc.get("total_violations").and_then(Json::as_u64).unwrap();
-    if total != violation_sum {
-        return Err(format!(
-            "total_violations {total} != per-scheme sum {violation_sum}"
-        ));
-    }
-    let listed = doc
-        .get("violations")
-        .and_then(Json::as_arr)
-        .ok_or("`violations` is not an array")?;
-    if listed.len() as u64 != total {
-        return Err(format!(
-            "violation list has {} entries, total_violations says {total}",
-            listed.len()
-        ));
-    }
-    for v in listed {
-        v.get("replay")
-            .and_then(Json::as_str)
-            .filter(|r| r.contains("--replay"))
-            .ok_or("violation entry without a usable `replay` command")?;
-    }
-    check_provenance(doc)
-}
-
-/// Validates a `scue-attack` seeded attack-campaign document: outcome
-/// tallies (total and per attack kind) partition the injected cases,
-/// the detection-latency histogram counts exactly the online
-/// detections, Baseline never detects (silent corruption there is the
-/// expected Table I outcome, asserted), and the violation list is
-/// consistent with `total_violations`.
-fn check_attack(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != ATTACK_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {ATTACK_SCHEMA_VERSION}"
-        ));
-    }
-    for key in ["seed", "points", "ops", "drive_ops", "total_violations"] {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("`{key}` is not an integer"))?;
-    }
-    let schemes = doc
-        .get("schemes")
-        .and_then(Json::as_arr)
-        .ok_or("`schemes` is not an array")?;
-    if schemes.is_empty() {
-        return Err("`schemes` is empty".to_string());
-    }
-    let mut violation_sum = 0;
-    for entry in schemes {
-        let name = entry
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("scheme entry without a `scheme` name")?;
-        let cases = entry
-            .get("cases")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `cases` is not an integer"))?;
-        let mutated = entry
-            .get("mutated")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `mutated` is not an integer"))?;
-        if mutated > cases {
-            return Err(format!("{name}: mutated {mutated} exceeds {cases} cases"));
-        }
-        let tally = |outcomes: &Json, ctx: &str| -> Result<Vec<u64>, String> {
-            AttackClass::ALL
-                .iter()
-                .map(|class| {
-                    outcomes
-                        .get(class.name())
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("{ctx}: outcomes.{} missing", class.name()))
-                })
-                .collect()
-        };
-        let outcomes = tally(
-            entry
-                .get("outcomes")
-                .ok_or(format!("{name}: missing `outcomes`"))?,
-            name,
-        )?;
+    for entry in array(doc, "", "schemes")? {
+        let name = string(entry, "scheme entry", "scheme")?;
+        let cases = int(entry, name, "cases")?;
+        let outcomes = tallies(entry, name, classes)?;
         let sum: u64 = outcomes.iter().sum();
         if sum != cases {
             return Err(format!(
                 "{name}: outcome tallies sum to {sum}, expected {cases} cases"
             ));
         }
-        // The per-attack histograms are a finer partition of the same
-        // cases: their class tallies must sum to the scheme's.
-        let attacks = entry
-            .get("attacks")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{name}: `attacks` is not an array"))?;
-        if attacks.len() != AttackKind::ALL.len() {
-            return Err(format!(
-                "{name}: {} attack entries, expected {}",
-                attacks.len(),
-                AttackKind::ALL.len()
-            ));
-        }
-        let mut per_attack = vec![0u64; AttackClass::ALL.len()];
-        for (kind, a) in AttackKind::ALL.iter().zip(attacks) {
-            let attack_name = a
-                .get("attack")
-                .and_then(Json::as_str)
-                .ok_or(format!("{name}: attack entry without an `attack` name"))?;
-            if attack_name != kind.name() {
-                return Err(format!(
-                    "{name}: attack entry `{attack_name}` out of order, expected `{}`",
-                    kind.name()
-                ));
-            }
-            let ctx = format!("{name}/{attack_name}");
-            let t = tally(
-                a.get("outcomes")
-                    .ok_or(format!("{ctx}: missing `outcomes`"))?,
-                &ctx,
-            )?;
-            for (total, n) in per_attack.iter_mut().zip(&t) {
-                *total += n;
-            }
-        }
-        let attack_sum: u64 = per_attack.iter().sum();
-        if attack_sum != cases {
-            return Err(format!(
-                "{name}: per-attack tallies sum to {attack_sum}, expected {cases} cases"
-            ));
-        }
-        if per_attack != outcomes {
-            return Err(format!(
-                "{name}: per-attack tallies disagree with the scheme outcome tally"
-            ));
-        }
-        // Online detections each record exactly one latency sample.
-        let latency = entry
-            .get("detection_latency")
-            .ok_or(format!("{name}: missing `detection_latency`"))?;
-        let latency_count = latency
-            .get("count")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: detection_latency.count is not an integer"))?;
-        let online = outcomes[0];
-        debug_assert_eq!(AttackClass::ALL[0], AttackClass::DetectedOnline);
-        if latency_count != online {
-            return Err(format!(
-                "{name}: detection_latency.count {latency_count} != \
-                 detected_online outcome count {online}"
-            ));
-        }
-        // Baseline has nothing to verify with: any detection is a
-        // modelling bug, and with effective tampers it must show the
-        // silent corruption the paper's Table I predicts.
-        let kind = scheme_named(name)?;
-        let detections: u64 = AttackClass::ALL
-            .iter()
-            .zip(&outcomes)
-            .filter(|(c, _)| c.is_detection())
-            .map(|(_, n)| n)
-            .sum();
-        if !kind.policy().is_secure() {
-            if detections > 0 {
-                return Err(format!(
-                    "{name}: an unprotected scheme reports {detections} detections"
-                ));
-            }
-            if mutated > 0 && sum == outcomes[AttackClass::ALL.len() - 3] {
-                // All cases UndetectedNoop despite effective tampers.
-                return Err(format!(
-                    "{name}: effective tampers left no observable outcome"
-                ));
-            }
-        }
-        violation_sum += entry
-            .get("oracle_violations")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `oracle_violations` is not an integer"))?;
+        per_scheme(entry, name, cases, &outcomes)?;
+        violation_sum += int(entry, name, "oracle_violations")?;
     }
-    let total = doc.get("total_violations").and_then(Json::as_u64).unwrap();
+    let total = int(doc, "", "total_violations")?;
     if total != violation_sum {
         return Err(format!(
             "total_violations {total} != per-scheme sum {violation_sum}"
@@ -439,122 +267,174 @@ fn check_attack(doc: &Json) -> Result<(), String> {
         ));
     }
     for v in listed {
-        for key in ["scheme", "attack", "message"] {
-            v.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("violation entry without a `{key}`"))?;
+        for &key in violation_keys {
+            let value = string(v, "violation entry", key)?;
+            if key == "replay" && !value.contains("--replay") {
+                return Err("violation entry without a usable `replay` command".to_string());
+            }
         }
-        v.get("replay")
-            .and_then(Json::as_str)
-            .filter(|r| r.contains("--replay"))
-            .ok_or("violation entry without a usable `replay` command")?;
     }
     check_provenance(doc)
 }
 
+/// Validates a `scue-torture` campaign document.
+fn check_torture(doc: &Json) -> Result<(), String> {
+    let classes = CaseClass::ALL.map(CaseClass::name);
+    let repaired = CaseClass::ALL
+        .iter()
+        .position(|&c| c == CaseClass::RepairedCounter)
+        .expect("repaired_counter is a case class");
+    check_campaign(
+        doc,
+        TORTURE_SCHEMA_VERSION,
+        &["points", "ops"],
+        &classes,
+        &["replay"],
+        |entry, name, _, outcomes| {
+            // Every repaired_counter case repairs at least one leaf, so
+            // the repaired-leaf total must cover the outcome count.
+            let repaired_leaves = int(entry, name, "repaired_leaves")?;
+            if repaired_leaves < outcomes[repaired] {
+                return Err(format!(
+                    "{name}: repaired_leaves {repaired_leaves} below \
+                     repaired_counter outcome count {}",
+                    outcomes[repaired]
+                ));
+            }
+            int(entry, name, "history_dropped").map(|_| ())
+        },
+    )
+}
+
+/// Validates a `scue-attack` seeded attack-campaign document: outcome
+/// tallies (total and per attack kind) partition the injected cases,
+/// the detection-latency histogram counts exactly the online
+/// detections, and Baseline never detects (silent corruption there is
+/// the expected Table I outcome, asserted).
+fn check_attack(doc: &Json) -> Result<(), String> {
+    let classes = AttackClass::ALL.map(AttackClass::name);
+    let class_index = |class| {
+        AttackClass::ALL
+            .iter()
+            .position(|&c| c == class)
+            .expect("every class is in AttackClass::ALL")
+    };
+    let (online, noop) = (
+        class_index(AttackClass::DetectedOnline),
+        class_index(AttackClass::UndetectedNoop),
+    );
+    check_campaign(
+        doc,
+        ATTACK_SCHEMA_VERSION,
+        &["points", "ops", "drive_ops"],
+        &classes,
+        &["scheme", "attack", "message", "replay"],
+        |entry, name, cases, outcomes| {
+            let mutated = int(entry, name, "mutated")?;
+            if mutated > cases {
+                return Err(format!("{name}: mutated {mutated} exceeds {cases} cases"));
+            }
+            // The per-attack histograms are a finer partition of the
+            // same cases: their class tallies must sum to the scheme's.
+            let attacks = array(entry, name, "attacks")?;
+            if attacks.len() != AttackKind::ALL.len() {
+                return Err(format!(
+                    "{name}: {} attack entries, expected {}",
+                    attacks.len(),
+                    AttackKind::ALL.len()
+                ));
+            }
+            let mut per_attack = vec![0u64; classes.len()];
+            for (kind, a) in AttackKind::ALL.iter().zip(attacks) {
+                let attack_name = string(a, name, "attack")?;
+                if attack_name != kind.name() {
+                    return Err(format!(
+                        "{name}: attack entry `{attack_name}` out of order, expected `{}`",
+                        kind.name()
+                    ));
+                }
+                let t = tallies(a, &format!("{name}/{attack_name}"), &classes)?;
+                for (total, n) in per_attack.iter_mut().zip(t) {
+                    *total += n;
+                }
+            }
+            let attack_sum: u64 = per_attack.iter().sum();
+            if attack_sum != cases {
+                return Err(format!(
+                    "{name}: per-attack tallies sum to {attack_sum}, expected {cases} cases"
+                ));
+            }
+            if per_attack != outcomes {
+                return Err(format!(
+                    "{name}: per-attack tallies disagree with the scheme outcome tally"
+                ));
+            }
+            // Online detections each record exactly one latency sample.
+            let latency = field(entry, name, "detection_latency")?;
+            let latency_count = int(latency, &format!("{name}: detection_latency"), "count")?;
+            if latency_count != outcomes[online] {
+                return Err(format!(
+                    "{name}: detection_latency.count {latency_count} != \
+                     detected_online outcome count {}",
+                    outcomes[online]
+                ));
+            }
+            // Baseline has nothing to verify with: any detection is a
+            // modelling bug, and with effective tampers it must show the
+            // silent corruption the paper's Table I predicts.
+            if !scheme_named(name)?.policy().is_secure() {
+                let detections: u64 = AttackClass::ALL
+                    .iter()
+                    .zip(outcomes)
+                    .filter(|(c, _)| c.is_detection())
+                    .map(|(_, n)| n)
+                    .sum();
+                if detections > 0 {
+                    return Err(format!(
+                        "{name}: an unprotected scheme reports {detections} detections"
+                    ));
+                }
+                if mutated > 0 && outcomes[noop] == cases {
+                    return Err(format!(
+                        "{name}: effective tampers left no observable outcome"
+                    ));
+                }
+            }
+            Ok(())
+        },
+    )
+}
+
 /// Validates a `scue-crashtest` real-process kill campaign document.
 fn check_crashtest(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != CRASHTEST_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {CRASHTEST_SCHEMA_VERSION}"
-        ));
-    }
-    for key in [
-        "seed",
-        "kills",
-        "epochs",
-        "ops_per_epoch",
-        "total_violations",
-        "total_fallbacks",
-    ] {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("`{key}` is not an integer"))?;
-    }
-    let schemes = doc
-        .get("schemes")
-        .and_then(Json::as_arr)
-        .ok_or("`schemes` is not an array")?;
-    if schemes.is_empty() {
-        return Err("`schemes` is empty".to_string());
-    }
-    let mut violation_sum = 0;
+    let classes = CaseClass::ALL.map(CaseClass::name);
     let mut fallback_sum = 0;
-    for entry in schemes {
-        let name = entry
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("scheme entry without a `scheme` name")?;
-        let cases = entry
-            .get("cases")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `cases` is not an integer"))?;
-        let outcomes = entry
-            .get("outcomes")
-            .ok_or(format!("{name}: missing `outcomes`"))?;
-        let mut sum = 0;
-        for class in CaseClass::ALL {
-            sum += outcomes
-                .get(class.name())
-                .and_then(Json::as_u64)
-                .ok_or(format!("{name}: outcomes.{} missing", class.name()))?;
-        }
-        if sum != cases {
-            return Err(format!(
-                "{name}: outcome tallies sum to {sum}, expected {cases} cases"
-            ));
-        }
-        // Open errors and slot fallbacks are per-case flags, so neither
-        // count can exceed the case count.
-        for key in ["faults_applied", "open_errors", "fallbacks"] {
-            let n = entry
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or(format!("{name}: `{key}` is not an integer"))?;
-            if n > cases {
-                return Err(format!("{name}: {key} {n} exceeds {cases} cases"));
+    check_campaign(
+        doc,
+        CRASHTEST_SCHEMA_VERSION,
+        &["kills", "epochs", "ops_per_epoch", "total_fallbacks"],
+        &classes,
+        &["scheme", "fault", "message"],
+        |entry, name, cases, _| {
+            // Open errors and slot fallbacks are per-case flags, so
+            // neither count can exceed the case count.
+            for key in ["faults_applied", "open_errors", "fallbacks"] {
+                let n = int(entry, name, key)?;
+                if n > cases {
+                    return Err(format!("{name}: {key} {n} exceeds {cases} cases"));
+                }
             }
-        }
-        fallback_sum += entry.get("fallbacks").and_then(Json::as_u64).unwrap_or(0);
-        violation_sum += entry
-            .get("oracle_violations")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{name}: `oracle_violations` is not an integer"))?;
-    }
-    let total = doc.get("total_violations").and_then(Json::as_u64).unwrap();
-    if total != violation_sum {
-        return Err(format!(
-            "total_violations {total} != per-scheme sum {violation_sum}"
-        ));
-    }
-    let total_fallbacks = doc.get("total_fallbacks").and_then(Json::as_u64).unwrap();
+            fallback_sum += int(entry, name, "fallbacks")?;
+            Ok(())
+        },
+    )?;
+    let total_fallbacks = int(doc, "", "total_fallbacks")?;
     if total_fallbacks != fallback_sum {
         return Err(format!(
             "total_fallbacks {total_fallbacks} != per-scheme sum {fallback_sum}"
         ));
     }
-    let listed = doc
-        .get("violations")
-        .and_then(Json::as_arr)
-        .ok_or("`violations` is not an array")?;
-    if listed.len() as u64 != total {
-        return Err(format!(
-            "violation list has {} entries, total_violations says {total}",
-            listed.len()
-        ));
-    }
-    for v in listed {
-        for key in ["scheme", "fault", "message"] {
-            v.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("violation entry without a `{key}`"))?;
-        }
-    }
-    check_provenance(doc)
+    Ok(())
 }
 
 /// The scheme whose display name is `name`.
@@ -567,15 +447,7 @@ fn scheme_named(name: &str) -> Result<SchemeKind, String> {
 
 /// Validates a `scue-mc` model-checker document.
 fn check_mc(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != MC_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {MC_SCHEMA_VERSION}"
-        ));
-    }
+    schema(doc, MC_SCHEMA_VERSION)?;
     for key in [
         "blocks",
         "ops",
@@ -586,80 +458,50 @@ fn check_mc(doc: &Json) -> Result<(), String> {
         "rcc_witnesses",
         "failed_reproductions",
     ] {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("`{key}` is not an integer"))?;
+        int(doc, "", key)?;
     }
-    for key in ["replay", "exhaustive"] {
-        match doc.get(key) {
-            Some(Json::Bool(_)) => {}
-            _ => return Err(format!("`{key}` is not a boolean")),
-        }
-    }
-    let schemes = doc
-        .get("schemes")
-        .and_then(Json::as_arr)
-        .ok_or("`schemes` is not an array")?;
-    if schemes.is_empty() {
-        return Err("`schemes` is empty".to_string());
-    }
+    boolean(doc, "", "replay")?;
+    let exhaustive = boolean(doc, "", "exhaustive")?;
     let mut witness_sum = 0;
     let mut all_exhaustive = true;
-    for entry in schemes {
-        let name = entry
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("scheme entry without a `scheme` name")?;
-        let int = |key: &str| {
-            entry
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or(format!("{name}: `{key}` is not an integer"))
-        };
-        let states = int("states")?;
-        if states == 0 {
+    for entry in array(doc, "", "schemes")? {
+        let name = string(entry, "scheme entry", "scheme")?;
+        let count = |key: &str| int(entry, name, key);
+        if count("states")? == 0 {
             return Err(format!("{name}: a search explores at least one state"));
         }
-        let cases = int("crash_cases")?;
-        int("deepest")?;
+        let cases = count("crash_cases")?;
+        count("deepest")?;
         let (truncated_states, truncated_depth) =
-            (int("truncated_states")?, int("truncated_depth")?);
-        let exhaustive = match entry.get("exhaustive") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(format!("{name}: `exhaustive` is not a boolean")),
-        };
+            (count("truncated_states")?, count("truncated_depth")?);
+        let scheme_exhaustive = boolean(entry, name, "exhaustive")?;
         // The exhaustive flag is a *claim*; the truncation counters are
         // the evidence. They must agree.
-        if exhaustive != (truncated_states == 0 && truncated_depth == 0) {
+        if scheme_exhaustive != (truncated_states == 0 && truncated_depth == 0) {
             return Err(format!(
-                "{name}: exhaustive={exhaustive} contradicts truncation counters \
+                "{name}: exhaustive={scheme_exhaustive} contradicts truncation counters \
                  (states dropped: {truncated_states}, depth cuts: {truncated_depth})"
             ));
         }
-        all_exhaustive &= exhaustive;
-        let verdicts = entry
-            .get("verdicts")
-            .ok_or(format!("{name}: missing `verdicts`"))?;
+        all_exhaustive &= scheme_exhaustive;
+        let verdicts = field(entry, name, "verdicts")?;
         let mut sum = 0;
         for v in Verdict::ALL {
-            sum += verdicts
-                .get(v.name())
-                .and_then(Json::as_u64)
-                .ok_or(format!("{name}: verdicts.{} missing", v.name()))?;
+            sum += int(verdicts, &format!("{name}: verdicts"), v.name())?;
         }
         if sum != cases {
             return Err(format!(
                 "{name}: verdict tallies sum to {sum}, expected {cases} crash cases"
             ));
         }
-        let witnesses = int("witnesses")?;
+        let witnesses = count("witnesses")?;
         witness_sum += witnesses;
         // A complete search finds a clean-crash witness exactly when the
         // scheme verifies but has a crash window (its policy row's root
         // discipline), at every scope scue-mc accepts.
         let policy = scheme_named(name)?.policy();
         let windowed = policy.is_secure() && !policy.root_crash_consistent();
-        if exhaustive && (witnesses > 0) != windowed {
+        if scheme_exhaustive && (witnesses > 0) != windowed {
             return Err(format!(
                 "{name}: exhaustive search found {witnesses} witnesses, but the scheme {}",
                 if windowed {
@@ -682,12 +524,6 @@ fn check_mc(doc: &Json) -> Result<(), String> {
             .get("witness_list")
             .and_then(Json::as_arr)
             .ok_or(format!("{name}: `witness_list` is not an array"))?;
-        if list.len() as u64 > WITNESS_CAP as u64 {
-            return Err(format!(
-                "{name}: witness list has {} entries, cap is {WITNESS_CAP}",
-                list.len()
-            ));
-        }
         let expected = witnesses.min(WITNESS_CAP as u64);
         if list.len() as u64 != expected {
             return Err(format!(
@@ -704,16 +540,11 @@ fn check_mc(doc: &Json) -> Result<(), String> {
             if actions.is_empty() {
                 return Err(format!("{name}: witness with an empty action trace"));
             }
-            for a in actions {
-                a.as_str()
-                    .ok_or(format!("{name}: witness action is not a string"))?;
+            if actions.iter().any(|a| a.as_str().is_none()) {
+                return Err(format!("{name}: witness action is not a string"));
             }
-            w.get("crash")
-                .and_then(Json::as_str)
-                .ok_or(format!("{name}: witness without a `crash` mode"))?;
-            w.get("issues")
-                .and_then(Json::as_u64)
-                .ok_or(format!("{name}: witness `issues` is not an integer"))?;
+            string(w, &format!("{name}: witness"), "crash")?;
+            int(w, &format!("{name}: witness"), "issues")?;
             // `replay`/`reproduced` are either both null (replay off or
             // not lowerable) or a spec string with a verdict.
             match (w.get("replay"), w.get("reproduced")) {
@@ -728,13 +559,12 @@ fn check_mc(doc: &Json) -> Result<(), String> {
             }
         }
     }
-    let total = doc.get("total_witnesses").and_then(Json::as_u64).unwrap();
+    let total = int(doc, "", "total_witnesses")?;
     if total != witness_sum {
         return Err(format!(
             "total_witnesses {total} != per-scheme sum {witness_sum}"
         ));
     }
-    let exhaustive = matches!(doc.get("exhaustive"), Some(Json::Bool(true)));
     if exhaustive != all_exhaustive {
         return Err(format!(
             "top-level exhaustive={exhaustive} contradicts per-scheme flags"
@@ -744,121 +574,58 @@ fn check_mc(doc: &Json) -> Result<(), String> {
 }
 
 /// Reads one span entry (`SpanProfile::to_json` element), checking
-/// stat coherence. Returns the span's name.
-fn check_span_entry(ctx: &str, span: &Json) -> Result<String, String> {
-    let name = span
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or(format!("{ctx}: span entry without a `name`"))?;
-    span.get("parent")
-        .and_then(Json::as_str)
-        .ok_or(format!("{ctx}: span `{name}` without a `parent`"))?;
-    let stat = |key: &str| {
-        span.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("{ctx}: span `{name}`: `{key}` is not an integer"))
-    };
-    let calls = stat("calls")?;
-    if calls == 0 {
-        return Err(format!("{ctx}: span `{name}` recorded with zero calls"));
+/// stat coherence.
+fn check_span_entry(ctx: &str, span: &Json) -> Result<(), String> {
+    let name = string(span, ctx, "name")?;
+    let ctx = format!("{ctx}: span `{name}`");
+    string(span, &ctx, "parent")?;
+    if int(span, &ctx, "calls")? == 0 {
+        return Err(format!("{ctx} recorded with zero calls"));
     }
-    let (total, self_ns) = (stat("total_ns")?, stat("self_ns")?);
+    let (total, self_ns) = (int(span, &ctx, "total_ns")?, int(span, &ctx, "self_ns")?);
     if self_ns > total {
-        return Err(format!(
-            "{ctx}: span `{name}`: self_ns {self_ns} exceeds total_ns {total}"
-        ));
+        return Err(format!("{ctx}: self_ns {self_ns} exceeds total_ns {total}"));
     }
-    stat("allocs")?;
-    stat("alloc_bytes")?;
-    Ok(name.to_string())
+    int(span, &ctx, "allocs")?;
+    int(span, &ctx, "alloc_bytes")?;
+    Ok(())
 }
 
 /// Validates a `scue-profile` document.
 fn check_profile(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != PROFILE_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {PROFILE_SCHEMA_VERSION}"
-        ));
-    }
-    let clock = doc
-        .get("clock")
-        .and_then(Json::as_str)
-        .ok_or("`clock` is not a string")?;
+    schema(doc, PROFILE_SCHEMA_VERSION)?;
+    let clock = string(doc, "", "clock")?;
     if clock != "monotonic" && clock != "virtual" {
         return Err(format!("unknown clock `{clock}`"));
     }
-    let ops = doc
-        .get("ops")
-        .and_then(Json::as_u64)
-        .ok_or("`ops` is not an integer")?;
-    if ops == 0 {
+    if int(doc, "", "ops")? == 0 {
         return Err("`ops` must be positive".to_string());
     }
-    doc.get("seed")
-        .and_then(Json::as_u64)
-        .ok_or("`seed` is not an integer")?;
-    let schemes = doc
-        .get("schemes")
-        .and_then(Json::as_arr)
-        .ok_or("`schemes` is not an array")?;
-    if schemes.is_empty() {
-        return Err("`schemes` is empty".to_string());
-    }
-    for entry in schemes {
-        let name = entry
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("scheme entry without a `scheme` name")?;
-        let coverage = entry
-            .get("coverage_pct")
-            .and_then(Json::as_f64)
-            .ok_or(format!("{name}: `coverage_pct` is not a number"))?;
+    int(doc, "", "seed")?;
+    for entry in array(doc, "", "schemes")? {
+        let name = string(entry, "scheme entry", "scheme")?;
+        let coverage = number(entry, name, "coverage_pct")?;
         if clock == "monotonic" && coverage < MIN_MONOTONIC_COVERAGE_PCT {
             return Err(format!(
                 "{name}: only {coverage:.1}% of wall time attributed to named \
                  spans (budget: {MIN_MONOTONIC_COVERAGE_PCT}%)"
             ));
         }
-        match entry.get("recovered") {
-            Some(Json::Bool(_)) => {}
-            _ => return Err(format!("{name}: `recovered` is not a boolean")),
-        }
+        boolean(entry, name, "recovered")?;
         for (section, keys) in [
             ("alloc", ["allocs", "bytes"]),
             ("trace", ["recorded", "dropped_events"]),
         ] {
-            let obj = entry
-                .get(section)
-                .ok_or(format!("{name}: missing `{section}`"))?;
+            let obj = field(entry, name, section)?;
             for key in keys {
-                obj.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("{name}: {section}.{key} is not an integer"))?;
+                int(obj, &format!("{name}: {section}"), key)?;
             }
         }
-        let spans = entry
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{name}: `spans` is not an array"))?;
-        if spans.is_empty() {
-            return Err(format!("{name}: `spans` is empty"));
-        }
-        for span in spans {
+        for span in array(entry, name, "spans")? {
             check_span_entry(name, span)?;
         }
     }
-    let aggregate = doc
-        .get("aggregate_spans")
-        .and_then(Json::as_arr)
-        .ok_or("`aggregate_spans` is not an array")?;
-    if aggregate.is_empty() {
-        return Err("`aggregate_spans` is empty".to_string());
-    }
-    for span in aggregate {
+    for span in array(doc, "", "aggregate_spans")? {
         check_span_entry("aggregate", span)?;
     }
     check_provenance(doc)
@@ -868,48 +635,27 @@ fn check_profile(doc: &Json) -> Result<(), String> {
 /// --chrome-trace`). Detected by its `traceEvents` array rather than a
 /// top-level `kind` tag, which the trace-event format reserves.
 fn check_chrome(doc: &Json) -> Result<(), String> {
-    let other = doc.get("otherData").ok_or("missing `otherData`")?;
-    let kind = other
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("otherData.kind is not a string")?;
+    let kind = string(field(doc, "", "otherData")?, "otherData", "kind")?;
     if kind != CHROME_DOC_KIND {
         return Err(format!(
             "otherData.kind `{kind}`, expected {CHROME_DOC_KIND}"
         ));
     }
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("`traceEvents` is not an array")?;
-    if events.is_empty() {
-        return Err("`traceEvents` is empty".to_string());
-    }
     let mut spans = 0u64;
-    for (i, event) in events.iter().enumerate() {
-        let ph = event
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or(format!("traceEvents[{i}]: `ph` is not a string"))?;
-        event
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or(format!("traceEvents[{i}]: `name` is not a string"))?;
-        match ph {
+    for (i, event) in array(doc, "", "traceEvents")?.iter().enumerate() {
+        let ctx = format!("traceEvents[{i}]");
+        string(event, &ctx, "name")?;
+        match string(event, &ctx, "ph")? {
             "X" => {
                 spans += 1;
                 for key in ["ts", "dur"] {
-                    let v = event
-                        .get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("traceEvents[{i}]: `{key}` is not a number"))?;
-                    if v < 0.0 {
-                        return Err(format!("traceEvents[{i}]: negative `{key}`"));
+                    if number(event, &ctx, key)? < 0.0 {
+                        return Err(format!("{ctx}: negative `{key}`"));
                     }
                 }
             }
             "i" | "M" => {}
-            other => return Err(format!("traceEvents[{i}]: unknown phase `{other}`")),
+            other => return Err(format!("{ctx}: unknown phase `{other}`")),
         }
     }
     if spans == 0 {
@@ -920,69 +666,28 @@ fn check_chrome(doc: &Json) -> Result<(), String> {
 
 /// Validates a `bench_trajectory` snapshot.
 fn check_trajectory(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("schema_version is not an integer")?;
-    if version != TRAJECTORY_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version}, expected {TRAJECTORY_SCHEMA_VERSION}"
-        ));
-    }
-    for key in ["pr", "engine_ops", "samples"] {
-        let v = doc
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("`{key}` is not an integer"))?;
-        if v == 0 && key != "pr" {
+    schema(doc, TRAJECTORY_SCHEMA_VERSION)?;
+    int(doc, "", "pr")?;
+    for key in ["engine_ops", "samples"] {
+        if int(doc, "", key)? == 0 {
             return Err(format!("`{key}` must be positive"));
         }
     }
-    let engine = doc
-        .get("engine")
-        .and_then(Json::as_arr)
-        .ok_or("`engine` is not an array")?;
-    if engine.is_empty() {
-        return Err("`engine` is empty".to_string());
-    }
-    for entry in engine {
-        let name = entry
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("engine entry without a `scheme` name")?;
-        let ops = entry
-            .get("ops_per_sec")
-            .and_then(Json::as_f64)
-            .ok_or(format!("{name}: `ops_per_sec` is not a number"))?;
+    for entry in array(doc, "", "engine")? {
+        let name = string(entry, "engine entry", "scheme")?;
+        let ops = number(entry, name, "ops_per_sec")?;
         if ops <= 0.0 {
             return Err(format!("{name}: non-positive ops_per_sec {ops}"));
         }
         for key in ["allocs_per_op", "alloc_bytes_per_op"] {
-            let v = entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("{name}: `{key}` is not a number"))?;
-            if v < 0.0 {
+            if number(entry, name, key)? < 0.0 {
                 return Err(format!("{name}: negative {key}"));
             }
         }
     }
-    let primitives = doc
-        .get("primitives")
-        .and_then(Json::as_arr)
-        .ok_or("`primitives` is not an array")?;
-    if primitives.is_empty() {
-        return Err("`primitives` is empty".to_string());
-    }
-    for entry in primitives {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("primitive entry without a `name`")?;
-        let ns = entry
-            .get("median_ns")
-            .and_then(Json::as_f64)
-            .ok_or(format!("{name}: `median_ns` is not a number"))?;
+    for entry in array(doc, "", "primitives")? {
+        let name = string(entry, "primitive entry", "name")?;
+        let ns = number(entry, name, "median_ns")?;
         if ns <= 0.0 {
             return Err(format!("{name}: non-positive median_ns {ns}"));
         }

@@ -18,10 +18,11 @@
 //! the chance).
 
 use scue::SchemeKind;
+use scue_sim::cli::{self, Flags};
 use scue_sim::crashtest::{self, CrashtestConfig};
-use scue_util::obs::Json;
-use scue_util::par;
 use std::process::ExitCode;
+
+const BIN: &str = "scue-crashtest";
 
 #[derive(Debug)]
 struct Args {
@@ -31,74 +32,40 @@ struct Args {
     jobs: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-crashtest [--seed N] [--kills N] [--epochs N] \
-         [--ops-per-epoch N] [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] \
-         [--dir PATH] [--json PATH] [--jobs N]"
-    );
-    std::process::exit(2);
+fn usage() -> String {
+    format!(
+        "[--seed N] [--kills N] [--epochs N] [--ops-per-epoch N] [--scheme {}] \
+         [--dir PATH] [--json PATH] [--jobs N]",
+        cli::scheme_tokens()
+    )
 }
 
 fn parse_args_from(
-    mut it: impl Iterator<Item = String>,
+    tokens: impl Iterator<Item = String>,
     env_jobs: Option<&str>,
 ) -> Result<Args, String> {
     let mut cfg = CrashtestConfig::default();
     let mut schemes = SchemeKind::ALL.to_vec();
-    let mut json_path = None;
-    let mut jobs_flag: Option<usize> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
+    let (mut json_path, mut jobs) = (None, None);
+    let mut flags = Flags::new(tokens);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--seed" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--kills" => cfg.kills = parsed("--kills", &value("--kills")?)?,
-            "--epochs" => {
-                let v = value("--epochs")?;
-                cfg.epochs = parsed("--epochs", &v)?;
-                if cfg.epochs == 0 {
-                    return Err(format!("invalid value for --epochs: `{v}`"));
-                }
-            }
-            "--ops-per-epoch" => {
-                let v = value("--ops-per-epoch")?;
-                cfg.ops_per_epoch = parsed("--ops-per-epoch", &v)?;
-                if cfg.ops_per_epoch == 0 {
-                    return Err(format!("invalid value for --ops-per-epoch: `{v}`"));
-                }
-            }
-            "--scheme" => {
-                let v = value("--scheme")?;
-                let scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-                schemes = vec![scheme];
-            }
-            "--dir" => cfg.dir = value("--dir")?.into(),
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                jobs_flag = Some(jobs);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--seed" => cfg.seed = flags.parse(&flag)?,
+            "--kills" => cfg.kills = flags.parse(&flag)?,
+            "--epochs" => cfg.epochs = flags.positive(&flag)?,
+            "--ops-per-epoch" => cfg.ops_per_epoch = flags.positive(&flag)?,
+            "--scheme" => schemes = vec![flags.scheme(&flag)?],
+            "--dir" => cfg.dir = flags.value(&flag)?.into(),
+            "--jobs" => jobs = Some(flags.positive(&flag)?),
+            "--json" => json_path = Some(flags.value(&flag)?),
+            other => return Err(cli::unknown(other)),
         }
     }
-    let jobs = par::resolve_jobs_from(jobs_flag, env_jobs)?;
     Ok(Args {
         cfg,
         schemes,
         json_path,
-        jobs,
+        jobs: cli::jobs(jobs, env_jobs)?,
     })
 }
 
@@ -129,14 +96,14 @@ fn run_child(args: &[String]) -> ExitCode {
     let (scheme, seed, epochs, ops_per_epoch, image) = match parse_child_args(args) {
         Ok(parsed) => parsed,
         Err(msg) => {
-            eprintln!("scue-crashtest: {msg}");
+            eprintln!("{BIN}: {msg}");
             return ExitCode::from(2);
         }
     };
     match crashtest::run_child(scheme, seed, epochs, ops_per_epoch, image.as_ref()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("scue-crashtest child: {e}");
+            eprintln!("{BIN} child: {e}");
             ExitCode::FAILURE
         }
     }
@@ -147,27 +114,18 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("--child") {
         return run_child(&argv[1..]);
     }
-    let env = std::env::var(par::JOBS_ENV).ok();
-    let args = parse_args_from(argv.into_iter(), env.as_deref()).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-crashtest: {msg}");
-        }
-        usage();
-    });
+    let args = cli::parse_or_exit(BIN, &usage(), parse_args_from);
     // A missing image directory would kill every child at image
     // creation and read as (bogus) oracle violations — fail it up
     // front as the operator error it is.
     if let Err(e) = std::fs::create_dir_all(&args.cfg.dir) {
-        eprintln!(
-            "scue-crashtest: cannot create --dir {}: {e}",
-            args.cfg.dir.display()
-        );
+        eprintln!("{BIN}: cannot create --dir {}: {e}", args.cfg.dir.display());
         return ExitCode::from(2);
     }
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
         Err(e) => {
-            eprintln!("scue-crashtest: cannot locate own executable: {e}");
+            eprintln!("{BIN}: cannot locate own executable: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -206,14 +164,9 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.json_path {
         let mut doc = report.to_json();
-        doc.set(
-            "provenance",
-            Json::obj()
-                .with("jobs", Json::U64(args.jobs as u64))
-                .with("wall_ms", Json::U64(wall_ms)),
-        );
+        doc.set("provenance", cli::provenance(args.jobs, wall_ms));
         if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("scue-crashtest: cannot write {path}: {e}");
+            eprintln!("{BIN}: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
@@ -344,11 +297,6 @@ mod tests {
     fn env_jobs_applies_and_flag_wins() {
         assert_eq!(parse(&[], Some("6")).unwrap().jobs, 6);
         assert_eq!(parse(&["--jobs", "2"], Some("6")).unwrap().jobs, 2);
-        for bad in ["0", "lots", ""] {
-            let err = parse(&[], Some(bad)).unwrap_err();
-            assert!(err.contains("SCUE_JOBS"), "{err:?}");
-            assert!(err.contains(&format!("`{bad}`")), "{err:?}");
-        }
     }
 
     #[test]

@@ -14,19 +14,20 @@
 //!         [--jobs N] [--json PATH]
 //! ```
 //!
-//! Exits 0 when the model-check matches the paper's claim (SCUE, PLP
-//! and BMF-ideal clean; witnesses — expected for Lazy/Eager — all
-//! reproduce concretely), 1 on a witness against a root-crash-
-//! consistent scheme or a failed reproduction, 2 on usage errors. A
-//! truncated (non-exhaustive) search is flagged on stderr and in the
-//! JSON document.
+//! Exits 0 when the model-check matches the paper's claim (the
+//! root-crash-consistent schemes clean; witnesses — expected for the
+//! crash-window schemes — all reproduce concretely), 1 on a witness
+//! against a root-crash-consistent scheme or a failed reproduction, 2 on
+//! usage errors. A truncated (non-exhaustive) search is flagged on
+//! stderr and in the JSON document.
 
 use scue::SchemeKind;
+use scue_sim::cli::{self, Flags};
 use scue_sim::mc::{self, McConfig, SearchConfig};
 use scue_sim::torture::TortureConfig;
-use scue_util::obs::Json;
-use scue_util::par;
 use std::process::ExitCode;
+
+const BIN: &str = "scue-mc";
 
 #[derive(Debug)]
 struct Args {
@@ -35,84 +36,43 @@ struct Args {
     json_path: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-mc [--blocks 2|3] [--ops N(1..=4)] [--seed N] \
-         [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] [--max-states N] \
-         [--max-depth N] [--no-replay] [--jobs N] [--json PATH]"
-    );
-    std::process::exit(2);
+fn usage() -> String {
+    format!(
+        "[--blocks 2|3] [--ops N(1..=4)] [--seed N] [--scheme {}] [--max-states N] \
+         [--max-depth N] [--no-replay] [--jobs N] [--json PATH]",
+        cli::scheme_tokens()
+    )
 }
 
-/// Parses the command line against an explicit `SCUE_JOBS` value,
-/// naming the offending flag and value on any error — separately
-/// testable from the process-exiting wrapper.
+/// Parses the command line against an explicit `SCUE_JOBS` value —
+/// separately testable from the process-exiting wrapper.
 fn parse_args_from(
-    mut it: impl Iterator<Item = String>,
+    tokens: impl Iterator<Item = String>,
     env_jobs: Option<&str>,
 ) -> Result<Args, String> {
     let mut search = SearchConfig::default();
     let mut torture = TortureConfig::default();
     let mut replay = true;
     let mut schemes = SchemeKind::ALL.to_vec();
-    let mut json_path = None;
-    let mut jobs_flag: Option<usize> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
+    let (mut json_path, mut jobs) = (None, None);
+    let mut flags = Flags::new(tokens);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
             "--blocks" => {
-                let v = value("--blocks")?;
-                let blocks: usize = parsed("--blocks", &v)?;
-                if !(2..=mc::MAX_BLOCKS).contains(&blocks) {
-                    return Err(format!("invalid value for --blocks: `{v}`"));
-                }
-                search.blocks = blocks;
+                search.blocks = flags.parse_if(&flag, |b| (2..=mc::MAX_BLOCKS).contains(b))?
             }
-            "--ops" => {
-                let v = value("--ops")?;
-                let ops: usize = parsed("--ops", &v)?;
-                if !(1..=4).contains(&ops) {
-                    return Err(format!("invalid value for --ops: `{v}`"));
-                }
-                search.ops = ops;
-            }
-            "--seed" => torture.seed = parsed("--seed", &value("--seed")?)?,
-            "--max-states" => {
-                let v = value("--max-states")?;
-                let n: usize = parsed("--max-states", &v)?;
-                if n == 0 {
-                    return Err(format!("invalid value for --max-states: `{v}`"));
-                }
-                search.max_states = n;
-            }
-            "--max-depth" => search.max_depth = parsed("--max-depth", &value("--max-depth")?)?,
+            "--ops" => search.ops = flags.parse_if(&flag, |ops| (1..=4).contains(ops))?,
+            "--seed" => torture.seed = flags.parse(&flag)?,
+            "--max-states" => search.max_states = flags.positive(&flag)?,
+            "--max-depth" => search.max_depth = flags.parse(&flag)?,
             "--no-replay" => replay = false,
-            "--scheme" => {
-                let v = value("--scheme")?;
-                let scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-                schemes = vec![scheme];
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                jobs_flag = Some(jobs);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--scheme" => schemes = vec![flags.scheme(&flag)?],
+            "--jobs" => jobs = Some(flags.positive(&flag)?),
+            "--json" => json_path = Some(flags.value(&flag)?),
+            other => return Err(cli::unknown(other)),
         }
     }
-    search.jobs = par::resolve_jobs_from(jobs_flag, env_jobs)?;
+    search.jobs = cli::jobs(jobs, env_jobs)?;
     Ok(Args {
         cfg: McConfig {
             search,
@@ -124,18 +84,8 @@ fn parse_args_from(
     })
 }
 
-fn parse_args() -> Args {
-    let env = std::env::var(par::JOBS_ENV).ok();
-    parse_args_from(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-mc: {msg}");
-        }
-        usage();
-    })
-}
-
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = cli::parse_or_exit(BIN, &usage(), parse_args_from);
     let started = std::time::Instant::now();
     let report = mc::run(&args.cfg, &args.schemes);
     let wall_ms = started.elapsed().as_millis() as u64;
@@ -201,14 +151,9 @@ fn main() -> ExitCode {
         // run's provenance rides in a trailing object so tooling can
         // strip it before diffing (see scripts/verify.sh).
         let mut doc = report.to_json();
-        doc.set(
-            "provenance",
-            Json::obj()
-                .with("jobs", Json::U64(args.cfg.search.jobs as u64))
-                .with("wall_ms", Json::U64(wall_ms)),
-        );
+        doc.set("provenance", cli::provenance(args.cfg.search.jobs, wall_ms));
         if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("scue-mc: cannot write {path}: {e}");
+            eprintln!("{BIN}: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
@@ -329,11 +274,5 @@ mod tests {
             parse(&["--jobs", "2"], Some("6")).unwrap().cfg.search.jobs,
             2
         );
-        for bad in ["0", "lots", ""] {
-            let err = parse(&[], Some(bad)).unwrap_err();
-            assert!(err.contains("SCUE_JOBS"), "{err:?}");
-            assert!(err.contains(&format!("`{bad}`")), "{err:?}");
-            assert_eq!(parse(&["--jobs", "3"], Some(bad)).unwrap_err(), err);
-        }
     }
 }

@@ -23,11 +23,13 @@
 //! `tests/par_determinism.rs` rely on.
 
 use scue::SchemeKind;
+use scue_sim::cli::{self, Flags};
 use scue_sim::profile::{self, ProfileConfig};
 use scue_util::obs::span::Clock;
-use scue_util::obs::Json;
-use scue_util::par;
 
+const BIN: &str = "scue-profile";
+
+#[derive(Debug)]
 struct Args {
     schemes: Vec<SchemeKind>,
     ops: u64,
@@ -39,16 +41,20 @@ struct Args {
     chrome_trace: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: scue-profile [--scheme baseline|lazy|eager|plp|bmf|scue");
-    eprintln!("                      |phoenix|triad1|triad2|zuo|freij]...");
-    eprintln!("                    [--ops N] [--seed N] [--jobs N]");
-    eprintln!("                    [--clock virtual|monotonic] [--top N]");
-    eprintln!("                    [--json PATH] [--chrome-trace PATH]");
-    std::process::exit(2);
+fn usage() -> String {
+    format!(
+        "[--scheme {}]...
+                    [--ops N] [--seed N] [--jobs N]
+                    [--clock virtual|monotonic] [--top N]
+                    [--json PATH] [--chrome-trace PATH]",
+        cli::scheme_tokens()
+    )
 }
 
-fn parse_args() -> Args {
+/// Parses the command line, naming the offending flag and value on any
+/// error (separately testable from the process-exiting wrapper). The
+/// job count stays unresolved until [`cli::jobs`] sees `SCUE_JOBS`.
+fn parse_args_from(tokens: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         schemes: Vec::new(),
         ops: 300,
@@ -59,85 +65,44 @@ fn parse_args() -> Args {
         json: None,
         chrome_trace: None,
     };
-    let mut it = std::env::args().skip(1);
-    let fail = |msg: String| -> ! {
-        eprintln!("scue-profile: {msg}");
-        usage();
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(format!("{name} needs a value")))
-        };
+    let mut flags = Flags::new(tokens);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--scheme" => {
-                let v = value("--scheme");
-                let scheme = SchemeKind::parse(&v)
-                    .unwrap_or_else(|| fail(format!("invalid value for --scheme: `{v}`")));
-                args.schemes.push(scheme);
-            }
-            "--ops" => {
-                let v = value("--ops");
-                args.ops = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u64| n > 0)
-                    .unwrap_or_else(|| fail(format!("invalid value for --ops: `{v}`")));
-            }
-            "--seed" => {
-                let v = value("--seed");
-                args.seed = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("invalid value for --seed: `{v}`")));
-            }
-            "--jobs" => {
-                let v = value("--jobs");
-                args.jobs = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| fail(format!("invalid value for --jobs: `{v}`"))),
-                );
-            }
+            "--scheme" => args.schemes.push(flags.scheme(&flag)?),
+            "--ops" => args.ops = flags.positive(&flag)?,
+            "--seed" => args.seed = flags.parse(&flag)?,
+            "--jobs" => args.jobs = Some(flags.positive(&flag)?),
             "--clock" => {
-                args.clock = match value("--clock").as_str() {
+                args.clock = match flags.value(&flag)?.as_str() {
                     "virtual" => Clock::Virtual,
                     "monotonic" => Clock::Monotonic,
-                    v => fail(format!("invalid value for --clock: `{v}`")),
+                    v => return Err(cli::invalid(&flag, v)),
                 };
             }
-            "--top" => {
-                let v = value("--top");
-                args.top = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| fail(format!("invalid value for --top: `{v}`")));
-            }
-            "--json" => args.json = Some(value("--json")),
-            "--chrome-trace" => args.chrome_trace = Some(value("--chrome-trace")),
-            "--help" | "-h" => usage(),
-            other => fail(format!("unknown flag `{other}`")),
+            "--top" => args.top = flags.positive(&flag)?,
+            "--json" => args.json = Some(flags.value(&flag)?),
+            "--chrome-trace" => args.chrome_trace = Some(flags.value(&flag)?),
+            other => return Err(cli::unknown(other)),
         }
     }
     if args.schemes.is_empty() {
         args.schemes = SchemeKind::ALL.to_vec();
     }
-    args
+    Ok(args)
 }
 
 fn write_file(path: &str, content: &str) {
     if let Err(e) = std::fs::write(path, content) {
-        eprintln!("scue-profile: cannot write {path}: {e}");
+        eprintln!("{BIN}: cannot write {path}: {e}");
         std::process::exit(1);
     }
 }
 
 fn main() {
-    let args = parse_args();
-    let jobs = par::resolve_jobs(args.jobs).unwrap_or_else(|msg| {
-        eprintln!("scue-profile: {msg}");
-        usage();
+    let (args, jobs) = cli::parse_or_exit(BIN, &usage(), |tokens, env_jobs| {
+        let args = parse_args_from(tokens)?;
+        let jobs = cli::jobs(args.jobs, env_jobs)?;
+        Ok((args, jobs))
     });
     let cfg = ProfileConfig {
         schemes: args.schemes.clone(),
@@ -188,9 +153,7 @@ fn main() {
         );
     }
 
-    let provenance = Json::obj()
-        .with("jobs", Json::U64(jobs as u64))
-        .with("wall_ms", Json::U64(wall_ms));
+    let provenance = cli::provenance(jobs, wall_ms);
     if let Some(path) = &args.json {
         let doc = profile::to_doc(&cfg, &results).with("provenance", provenance.clone());
         write_file(path, &doc.render_doc());
@@ -201,5 +164,73 @@ fn main() {
         let doc = profile::to_chrome_trace(&cfg, &results).with("provenance", provenance);
         write_file(path, &doc.render_doc());
         println!("chrome trace:  {path} (open in ui.perfetto.dev)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(tokens: &[&str]) -> Result<Args, String> {
+        parse_args_from(tokens.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn defaults_parse_clean() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.schemes, SchemeKind::ALL.to_vec());
+        assert_eq!((args.ops, args.seed, args.top), (300, 7, 12));
+        assert_eq!(args.clock, Clock::Monotonic);
+        assert_eq!(args.jobs, None);
+    }
+
+    #[test]
+    fn full_flag_set_parses() {
+        let args = parse(&[
+            "--scheme",
+            "scue",
+            "--scheme",
+            "Phoenix",
+            "--ops",
+            "50",
+            "--seed",
+            "9",
+            "--jobs",
+            "3",
+            "--clock",
+            "virtual",
+            "--top",
+            "4",
+            "--json",
+            "p.json",
+            "--chrome-trace",
+            "c.json",
+        ])
+        .unwrap();
+        assert_eq!(args.schemes, vec![SchemeKind::Scue, SchemeKind::Phoenix]);
+        assert_eq!((args.ops, args.seed, args.top), (50, 9, 4));
+        assert_eq!(args.jobs, Some(3));
+        assert_eq!(args.clock, Clock::Virtual);
+        assert_eq!(args.json.as_deref(), Some("p.json"));
+        assert_eq!(args.chrome_trace.as_deref(), Some("c.json"));
+    }
+
+    #[test]
+    fn bad_values_name_the_flag_and_value() {
+        for (tokens, flag, value) in [
+            (vec!["--scheme", "mercury"], "--scheme", "mercury"),
+            (vec!["--ops", "0"], "--ops", "0"),
+            (vec!["--seed", "x"], "--seed", "x"),
+            (vec!["--clock", "sundial"], "--clock", "sundial"),
+            (vec!["--top", "0"], "--top", "0"),
+            (vec!["--jobs", "0"], "--jobs", "0"),
+        ] {
+            let err = parse(&tokens).unwrap_err();
+            assert!(err.contains(flag), "{err:?} must name {flag}");
+            assert!(
+                err.contains(&format!("`{value}`")),
+                "{err:?} must show `{value}`"
+            );
+        }
     }
 }

@@ -16,9 +16,12 @@
 //! byte-identical at any job count.
 
 use scue::{CrashError, SchemeKind, SecureMemConfig};
+use scue_sim::cli::{self, Flags};
 use scue_sim::{ReportConfig, RunReport, System, SystemConfig};
 use scue_util::par;
 use scue_workloads::{Trace, Workload};
+
+const BIN: &str = "scue-simulate";
 
 /// Default epoch length when sampling is on but no interval was given.
 const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
@@ -42,16 +45,18 @@ struct Args {
     sample_interval: Option<u64>,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: scue-simulate [--scheme baseline|lazy|eager|plp|bmf|scue");
-    eprintln!("                       |phoenix|triad1|triad2|zuo|freij]");
-    eprintln!("                     [--workload array|btree|hash|queue|rbtree|lbm|mcf|");
-    eprintln!("                      libquantum|omnetpp|milc|soplex|gcc|bwaves]");
-    eprintln!("                     [--ops N] [--seed N] [--hash-latency 20|40|80|160]");
-    eprintln!("                     [--cores N] [--crash-at CYCLE] [--eadr] [--jobs N]");
-    eprintln!("                     [--metrics-json PATH] [--trace-events PATH]");
-    eprintln!("                     [--sample-interval CYCLES]");
-    std::process::exit(2);
+fn usage() -> String {
+    let workloads: Vec<&str> = Workload::ALL.iter().map(|w| w.name()).collect();
+    format!(
+        "[--scheme {}]
+                     [--workload {}]
+                     [--ops N] [--seed N] [--hash-latency 20|40|80|160]
+                     [--cores N] [--crash-at CYCLE] [--eadr] [--jobs N]
+                     [--metrics-json PATH] [--trace-events PATH]
+                     [--sample-interval CYCLES]",
+        cli::scheme_tokens(),
+        workloads.join("|")
+    )
 }
 
 fn parse_workload(s: &str) -> Option<Workload> {
@@ -61,8 +66,9 @@ fn parse_workload(s: &str) -> Option<Workload> {
 }
 
 /// Parses the command line, naming the offending flag and value on any
-/// error (separately testable from the process-exiting wrapper).
-fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+/// error (separately testable from the process-exiting wrapper). The
+/// job count stays unresolved until [`cli::jobs`] sees `SCUE_JOBS`.
+fn parse_args_from(tokens: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scheme: SchemeKind::Scue,
         workload: Workload::Btree,
@@ -77,73 +83,36 @@ fn parse_args_from(mut it: impl Iterator<Item = String>) -> Result<Args, String>
         trace_events: None,
         sample_interval: None,
     };
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
+    let mut flags = Flags::new(tokens);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--scheme" => {
-                let v = value("--scheme")?;
-                args.scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-            }
+            "--scheme" => args.scheme = flags.scheme(&flag)?,
             "--workload" => {
-                let v = value("--workload")?;
-                args.workload = parse_workload(&v)
-                    .ok_or_else(|| format!("invalid value for --workload: `{v}`"))?;
+                let v = flags.value(&flag)?;
+                args.workload = parse_workload(&v).ok_or_else(|| cli::invalid(&flag, &v))?;
             }
-            "--ops" => args.ops = parsed("--ops", &value("--ops")?)?,
-            "--seed" => args.seed = parsed("--seed", &value("--seed")?)?,
-            "--hash-latency" => {
-                args.hash_latency = parsed("--hash-latency", &value("--hash-latency")?)?
-            }
-            "--cores" => args.cores = parsed("--cores", &value("--cores")?)?,
-            "--crash-at" => args.crash_at = Some(parsed("--crash-at", &value("--crash-at")?)?),
+            "--ops" => args.ops = flags.parse(&flag)?,
+            "--seed" => args.seed = flags.parse(&flag)?,
+            "--hash-latency" => args.hash_latency = flags.positive(&flag)?,
+            "--cores" => args.cores = flags.positive(&flag)?,
+            "--crash-at" => args.crash_at = Some(flags.parse(&flag)?),
             "--eadr" => args.eadr = true,
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                args.jobs = Some(jobs);
-            }
-            "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
-            "--trace-events" => args.trace_events = Some(value("--trace-events")?),
-            "--sample-interval" => {
-                let v = value("--sample-interval")?;
-                let interval: u64 = parsed("--sample-interval", &v)?;
-                if interval == 0 {
-                    return Err(format!("invalid value for --sample-interval: `{v}`"));
-                }
-                args.sample_interval = Some(interval);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--jobs" => args.jobs = Some(flags.positive(&flag)?),
+            "--metrics-json" => args.metrics_json = Some(flags.value(&flag)?),
+            "--trace-events" => args.trace_events = Some(flags.value(&flag)?),
+            "--sample-interval" => args.sample_interval = Some(flags.positive(&flag)?),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(args)
 }
 
-fn parse_args() -> Args {
-    parse_args_from(std::env::args().skip(1)).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-simulate: {msg}");
-        }
-        usage();
-    })
-}
-
 /// Reports a mid-run engine failure — detected tampering, cache
 /// exhaustion — naming the scheme, address and cycle, then exits 1.
 fn die_on_error(scheme: SchemeKind, cycle: u64, err: CrashError) -> ! {
-    eprintln!("scue-simulate: {scheme} stopped at cycle {cycle}: {err}");
+    eprintln!("{BIN}: {scheme} stopped at cycle {cycle}: {err}");
     if let Some(integrity) = err.as_integrity() {
-        eprintln!("scue-simulate: verification failed for {}", integrity.addr);
+        eprintln!("{BIN}: verification failed for {}", integrity.addr);
     }
     std::process::exit(1);
 }
@@ -170,7 +139,7 @@ fn export(args: &Args, system: &System, report: &RunReport) {
         );
         if dropped > 0 {
             eprintln!(
-                "scue-simulate: warning: event ring overflowed; {dropped} oldest \
+                "{BIN}: warning: event ring overflowed; {dropped} oldest \
                  events were dropped (re-run with a shorter window or raise the \
                  trace capacity)"
             );
@@ -179,10 +148,10 @@ fn export(args: &Args, system: &System, report: &RunReport) {
 }
 
 fn main() {
-    let args = parse_args();
-    let jobs = par::resolve_jobs(args.jobs).unwrap_or_else(|msg| {
-        eprintln!("scue-simulate: {msg}");
-        usage();
+    let (args, jobs) = cli::parse_or_exit(BIN, &usage(), |tokens, env_jobs| {
+        let args = parse_args_from(tokens)?;
+        let jobs = cli::jobs(args.jobs, env_jobs)?;
+        Ok((args, jobs))
     });
     let mem = SecureMemConfig::paper(args.scheme)
         .with_hash_latency(args.hash_latency)
@@ -366,6 +335,8 @@ mod tests {
             (vec!["--seed", "-3"], "--seed", "-3"),
             (vec!["--crash-at", "1e9"], "--crash-at", "1e9"),
             (vec!["--cores", ""], "--cores", ""),
+            (vec!["--cores", "0"], "--cores", "0"),
+            (vec!["--hash-latency", "0"], "--hash-latency", "0"),
             (vec!["--scheme", "mercury"], "--scheme", "mercury"),
             (vec!["--workload", "nope"], "--workload", "nope"),
             (vec!["--sample-interval", "0"], "--sample-interval", "0"),

@@ -1,8 +1,9 @@
 //! Crash-point torture campaign runner.
 //!
 //! Samples crash cycles (uniform + persistence-boundary-biased) across
-//! all six schemes, injects media faults at the crash point, and holds
-//! each scheme to the differential recovery oracle. Oracle violations
+//! every scheme in the zoo, injects media faults at the crash point, and
+//! holds each scheme to the differential recovery oracle its policy row
+//! implies. Oracle violations
 //! are shrunk to a minimal `(ops, crash_at, fault)` triple and printed
 //! with a replay command.
 //!
@@ -23,10 +24,11 @@
 //! replay), 2 on usage errors.
 
 use scue::SchemeKind;
+use scue_sim::cli::{self, Flags};
 use scue_sim::torture::{self, CaseSpec, TortureConfig};
-use scue_util::obs::Json;
-use scue_util::par;
 use std::process::ExitCode;
+
+const BIN: &str = "scue-torture";
 
 #[derive(Debug)]
 struct Args {
@@ -38,82 +40,48 @@ struct Args {
     jobs: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: scue-torture [--seed N] [--points N] [--ops N] [--eadr] \
-         [--scheme baseline|lazy|eager|plp|bmf|scue|phoenix|triad1|triad2|zuo|freij] [--json PATH] \
+fn usage() -> String {
+    format!(
+        "[--seed N] [--points N] [--ops N] [--eadr] [--scheme {}] [--json PATH] \
          [--strict-baseline] [--strict-windows] [--jobs N] \
-         [--replay scheme:ops:crash_at:fault]"
-    );
-    std::process::exit(2);
+         [--replay scheme:ops:crash_at:fault]",
+        cli::scheme_tokens()
+    )
 }
 
-/// Parses the command line against an explicit `SCUE_JOBS` value,
-/// naming the offending flag (or environment variable) and value on
-/// any error — separately testable from the process-exiting wrapper.
+/// Parses the command line against an explicit `SCUE_JOBS` value —
+/// separately testable from the process-exiting wrapper.
 fn parse_args_from(
-    mut it: impl Iterator<Item = String>,
+    tokens: impl Iterator<Item = String>,
     env_jobs: Option<&str>,
 ) -> Result<Args, String> {
     let mut cfg = TortureConfig::default();
-    let mut points = 200usize;
+    let mut points = 200;
     let mut schemes = SchemeKind::ALL.to_vec();
-    let mut json_path = None;
-    let mut replay = None;
-    let mut jobs_flag: Option<usize> = None;
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("invalid value for {flag}: `{v}`"))
-        }
+    let (mut json_path, mut replay, mut jobs) = (None, None, None);
+    let mut flags = Flags::new(tokens);
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--seed" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--points" => points = parsed("--points", &value("--points")?)?,
-            "--ops" => cfg.ops = parsed("--ops", &value("--ops")?)?,
+            "--seed" => cfg.seed = flags.parse(&flag)?,
+            "--points" => points = flags.parse(&flag)?,
+            "--ops" => cfg.ops = flags.parse(&flag)?,
             "--eadr" => cfg.eadr = true,
             "--strict-baseline" => cfg.strict_baseline = true,
             "--strict-windows" => cfg.strict_windows = true,
-            "--scheme" => {
-                let v = value("--scheme")?;
-                let scheme = SchemeKind::parse(&v)
-                    .ok_or_else(|| format!("invalid value for --scheme: `{v}`"))?;
-                schemes = vec![scheme];
-            }
-            "--jobs" => {
-                let v = value("--jobs")?;
-                let jobs: usize = parsed("--jobs", &v)?;
-                if jobs == 0 {
-                    return Err(format!("invalid value for --jobs: `{v}`"));
-                }
-                jobs_flag = Some(jobs);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--replay" => replay = Some(value("--replay")?),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--scheme" => schemes = vec![flags.scheme(&flag)?],
+            "--jobs" => jobs = Some(flags.positive(&flag)?),
+            "--json" => json_path = Some(flags.value(&flag)?),
+            "--replay" => replay = Some(flags.value(&flag)?),
+            other => return Err(cli::unknown(other)),
         }
     }
-    let jobs = par::resolve_jobs_from(jobs_flag, env_jobs)?;
     Ok(Args {
         cfg,
         points,
         schemes,
         json_path,
         replay,
-        jobs,
-    })
-}
-
-fn parse_args() -> Args {
-    let env = std::env::var(par::JOBS_ENV).ok();
-    parse_args_from(std::env::args().skip(1), env.as_deref()).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("scue-torture: {msg}");
-        }
-        usage();
+        jobs: cli::jobs(jobs, env_jobs)?,
     })
 }
 
@@ -122,10 +90,7 @@ fn parse_args() -> Args {
 fn replay(spec: &str, cfg: &TortureConfig) -> ExitCode {
     let (scheme, case) = match CaseSpec::diagnose_replay(spec) {
         Ok(parsed) => parsed,
-        Err(why) => {
-            eprintln!("scue-torture: {why}");
-            usage();
-        }
+        Err(why) => cli::usage_exit(BIN, &usage(), &why),
     };
     let result = torture::run_case(scheme, cfg, case);
     println!(
@@ -153,7 +118,7 @@ fn replay(spec: &str, cfg: &TortureConfig) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = cli::parse_or_exit(BIN, &usage(), parse_args_from);
     if let Some(spec) = &args.replay {
         return replay(spec, &args.cfg);
     }
@@ -200,14 +165,9 @@ fn main() -> ExitCode {
         // run's provenance rides in a trailing object so tooling can
         // strip it before diffing (see scripts/verify.sh).
         let mut doc = report.to_json();
-        doc.set(
-            "provenance",
-            Json::obj()
-                .with("jobs", Json::U64(args.jobs as u64))
-                .with("wall_ms", Json::U64(wall_ms)),
-        );
+        doc.set("provenance", cli::provenance(args.jobs, wall_ms));
         if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("scue-torture: cannot write {path}: {e}");
+            eprintln!("{BIN}: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
@@ -289,18 +249,6 @@ mod tests {
     fn env_jobs_applies_and_flag_wins() {
         assert_eq!(parse(&[], Some("6")).unwrap().jobs, 6);
         assert_eq!(parse(&["--jobs", "2"], Some("6")).unwrap().jobs, 2);
-    }
-
-    #[test]
-    fn bad_env_jobs_is_an_error_even_when_the_flag_wins() {
-        for bad in ["0", "lots", ""] {
-            let err = parse(&[], Some(bad)).unwrap_err();
-            assert!(err.contains("SCUE_JOBS"), "{err:?}");
-            assert!(err.contains(&format!("`{bad}`")), "{err:?}");
-            // A conflicting garbled override still errors with the flag set.
-            let err2 = parse(&["--jobs", "3"], Some(bad)).unwrap_err();
-            assert_eq!(err, err2);
-        }
     }
 
     #[test]

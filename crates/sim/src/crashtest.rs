@@ -8,15 +8,14 @@
 //! wherever the scheduler happens to put it. The parent then optionally
 //! damages the image with a [`DurableFault`] (torn root slot, stale-slot
 //! bit rot, torn page program, truncated tail), reopens it, recovers,
-//! and audits the survivor with the same differential oracle as the
-//! simulated campaign:
+//! and audits the survivor with the simulated campaign's own audit
+//! (`torture::audit`) and differential oracle:
 //!
-//! * root-crash-consistent schemes (SCUE, PLP, BMF-ideal) must come back
-//!   with every checkpointed value intact after a clean kill, and must
-//!   detect — or typed-degrade at open, never panic — any injected
-//!   damage;
-//! * Lazy/Eager keep their §III-B crash-window exemption;
-//! * Baseline stays unverified.
+//! * root-crash-consistent schemes must come back with every
+//!   checkpointed value intact after a clean kill, and must detect — or
+//!   typed-degrade at open, never panic — any injected damage;
+//! * secure schemes with a crash window keep their §III-B exemption;
+//! * unverified schemes stay unverified.
 //!
 //! The kill is racy by design: the child may or may not have committed
 //! one more checkpoint than the parent observed. The parent therefore
@@ -27,8 +26,8 @@
 //! can differ run to run.
 
 use crate::torture::{self, op_at, CaseClass, CaseResult, TortureConfig};
-use scue::{CrashError, SchemeKind, SecureMemConfig, SecureMemory};
-use scue_nvm::{apply_durable, DurableFault, LineAddr};
+use scue::{SchemeKind, SecureMemConfig, SecureMemory};
+use scue_nvm::{apply_durable, DurableFault};
 use scue_util::obs::Json;
 use scue_util::par;
 use scue_util::rng::SplitMix64;
@@ -42,10 +41,6 @@ pub const CRASHTEST_SCHEMA_VERSION: u64 = 1;
 
 /// Document kind tag distinguishing crashtest output from other reports.
 pub const CRASHTEST_DOC_KIND: &str = "scue-crashtest";
-
-/// Address used to prove the machine resumes after recovery — outside
-/// the op span so it never collides with campaign state.
-const RESUME_ADDR: u64 = 4000;
 
 /// Campaign-wide knobs.
 #[derive(Debug, Clone)]
@@ -422,95 +417,24 @@ fn run_case_at(
             mem.image_generation()
         ));
     }
-    let covered = epochs_done * cfg.ops_per_epoch;
+    let shadow: BTreeMap<u64, u8> = (0..epochs_done * cfg.ops_per_epoch)
+        .map(|i| {
+            let (addr, fill) = op_at(cfg.seed, i);
+            (addr.raw(), fill)
+        })
+        .collect();
 
-    let (class, detail) = audit(&mut mem, scheme, cfg.seed, covered, fault_applied);
+    let result = torture::audit(&mut mem, scheme, &shadow, fault_applied);
     CrashOutcome {
         scheme,
         case,
         index,
-        class,
+        class: result.class,
         fault_applied,
         open_error: false,
         fell_back,
-        detail,
+        detail: result.detail,
     }
-}
-
-/// Recover → shadow audit → resume, mirroring the simulated campaign's
-/// phases 3–5 (the shadow replays the op stream the checkpoints cover).
-fn audit(
-    mem: &mut SecureMemory,
-    scheme: SchemeKind,
-    seed: u64,
-    covered: usize,
-    fault_applied: bool,
-) -> (CaseClass, String) {
-    let report = mem.recover();
-    if report.outcome.is_failure() {
-        let class = if fault_applied || scheme.policy().root_crash_consistent() {
-            CaseClass::DetectedAtRecovery
-        } else {
-            CaseClass::ExpectedWindowFail
-        };
-        return (class, format!("recovery: {:?}", report.outcome));
-    }
-
-    let mut shadow: BTreeMap<u64, u8> = BTreeMap::new();
-    for i in 0..covered {
-        let (addr, fill) = op_at(seed, i);
-        shadow.insert(addr.raw(), fill);
-    }
-    let mut t = 0;
-    for (&raw, &fill) in &shadow {
-        match mem.read_data(LineAddr::new(raw), t) {
-            Ok((data, done)) => {
-                t = done;
-                if data != [fill; 64] {
-                    return (
-                        CaseClass::SilentCorruption,
-                        format!("line {raw}: read wrong bytes without detection"),
-                    );
-                }
-            }
-            Err(CrashError::Integrity(e)) => {
-                return (CaseClass::DetectedOnRead, format!("read audit: {e}"));
-            }
-            Err(e) => {
-                return (CaseClass::ResumeFailure, format!("read audit aborted: {e}"));
-            }
-        }
-    }
-
-    let resume = LineAddr::new(RESUME_ADDR);
-    let resumed = mem
-        .persist_data(resume, [0xA5; 64], t)
-        .and_then(|done| mem.read_data(resume, done))
-        .map(|(data, _)| data == [0xA5; 64]);
-    match resumed {
-        Ok(true) => {}
-        Ok(false) => {
-            return (
-                CaseClass::ResumeFailure,
-                "resume write read back wrong".to_string(),
-            );
-        }
-        Err(e) => {
-            return (
-                CaseClass::ResumeFailure,
-                format!("resume traffic failed: {e}"),
-            );
-        }
-    }
-
-    let class = if !scheme.policy().is_secure() {
-        CaseClass::UnverifiedSurvived
-    } else if report.repaired_leaves > 0 {
-        CaseClass::RepairedCounter
-    } else {
-        CaseClass::RecoveredIntact
-    };
-    (class, String::new())
 }
 
 // ----------------------------------------------------------------------

@@ -158,19 +158,6 @@ fn measure_grid(
     })
 }
 
-/// Runs one workload under Baseline + the four figure schemes and
-/// normalises (one row of [`comparison_grid`]).
-pub fn scheme_comparison_row(
-    metric: Metric,
-    workload: Workload,
-    scale: usize,
-    seed: u64,
-) -> WorkloadRow {
-    comparison_grid(metric, &[workload], scale, seed, 1)
-        .pop()
-        .expect("one workload, one row")
-}
-
 /// Runs every workload under Baseline + the four figure schemes on up
 /// to `jobs` threads — one parallel cell per `scheme × workload` — and
 /// normalises each row to its Baseline cell.

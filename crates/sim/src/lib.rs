@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod attack;
+pub mod cli;
 pub mod config;
 pub mod crashtest;
 pub mod experiment;

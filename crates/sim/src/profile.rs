@@ -81,8 +81,8 @@ pub struct SchemeProfile {
     pub trace_recorded: u64,
     /// Events the bounded engine trace dropped.
     pub trace_dropped: u64,
-    /// Whether recovery succeeded (Lazy/Eager legitimately fail with
-    /// root crash inconsistency — the paper's §III-B point).
+    /// Whether recovery succeeded (crash-window schemes legitimately
+    /// fail with root crash inconsistency — the paper's §III-B point).
     pub recovered: bool,
 }
 

@@ -6,20 +6,22 @@
 //! in-flight writes, torn counter blocks, bit flips, dropped writes,
 //! stuck bytes — or nothing), recovers, and audits the survivor against
 //! a shadow copy of every value the program persisted. The oracle then
-//! classifies the outcome per scheme:
+//! classifies the outcome by the property each scheme's policy row
+//! gives it:
 //!
-//! * root-crash-consistent schemes (SCUE, PLP, BMF-ideal) must recover
-//!   with every persisted value intact when no fault landed, and must
-//!   *detect or repair* — never silently serve — any fault that did;
-//! * Lazy/Eager may fail recovery with `RootMismatch` even without a
-//!   fault (the §III-B crash window) — that is the expected comparison
-//!   point, not a violation;
-//! * Baseline never verifies, so it must never *report* tampering; its
-//!   silent corruption — even on a fault-free crash, because cached
-//!   counter increments die with power — is the expected motivation
-//!   for the tree (unless [`TortureConfig::strict_baseline`] deliberately
-//!   holds it to the secure oracle, which manufactures a violation to
-//!   exercise the shrinker end-to-end).
+//! * root-crash-consistent schemes (the trust base covers every
+//!   persisted leaf at every instant) must recover with every persisted
+//!   value intact when no fault landed, and must *detect or repair* —
+//!   never silently serve — any fault that did;
+//! * secure schemes with a crash window (a stale or deferred root) may
+//!   fail recovery with `RootMismatch` even without a fault (the §III-B
+//!   window) — that is the expected comparison point, not a violation;
+//! * unverified schemes never verify, so they must never *report*
+//!   tampering; their silent corruption — even on a fault-free crash,
+//!   because cached counter increments die with power — is the expected
+//!   motivation for the tree (unless [`TortureConfig::strict_baseline`]
+//!   deliberately holds them to the secure oracle, which manufactures a
+//!   violation to exercise the shrinker end-to-end).
 //!
 //! Any oracle violation is minimised with the in-repo property-test
 //! shrinker ([`scue_util::prop::shrink_failure`]) and reported with a
@@ -180,7 +182,7 @@ pub enum CaseClass {
     /// intact.
     RepairedCounter,
     /// Recovery failed with `RootMismatch` on a scheme whose crash
-    /// window permits it (Lazy/Eager without an applied fault).
+    /// window permits it (no root crash consistency, no applied fault).
     ExpectedWindowFail,
     /// Recovery itself reported the damage (leaf MAC or root mismatch
     /// with an applied fault).
@@ -237,7 +239,7 @@ pub struct TortureConfig {
     /// satisfy it under applied faults — this deliberately breaks the
     /// oracle to exercise the shrinking minimiser end-to-end.
     pub strict_baseline: bool,
-    /// Treat Lazy/Eager crash-window failures as oracle violations
+    /// Treat crash-window failures as oracle violations
     /// instead of expected comparison points. The model checker's
     /// replay bridge uses this to demand that an abstract
     /// counterexample reproduces as a *violation* on the concrete
@@ -413,108 +415,97 @@ fn run_case_with(
     let records = mem.crash_with_faults(case.crash_at, &plan);
     let fault_applied = records.iter().any(|r| r.applied);
 
-    // Phase 3: recovery.
+    audit(mem, scheme, &shadow, fault_applied)
+}
+
+/// Phases 3–5 of a case, shared with the real-process crash campaign
+/// ([`crate::crashtest`]): recover, read back every line of `shadow`
+/// (address → fill byte), prove the machine serves a fresh write, and
+/// classify the outcome. An integrity error is a detection wherever it
+/// surfaces, including on the resume probe: a damaged node that covers
+/// only the probe's line is first read there.
+pub(crate) fn audit(
+    mem: &mut SecureMemory,
+    scheme: SchemeKind,
+    shadow: &BTreeMap<u64, u8>,
+    fault_applied: bool,
+) -> CaseResult {
     let report = mem.recover();
+    let repaired_leaves = report.repaired_leaves;
+    let outcome = |class, detail: String| CaseResult {
+        class,
+        fault_applied,
+        repaired_leaves,
+        history_dropped: 0,
+        detail,
+    };
     if report.outcome.is_failure() {
-        let class = if fault_applied {
-            CaseClass::DetectedAtRecovery
-        } else if !scheme.policy().root_crash_consistent()
-            && report.outcome == RecoveryOutcome::RootMismatch
-        {
+        // Only a fault-free `RootMismatch` on a scheme with a crash
+        // window is the expected comparison point; any other rejection
+        // is a detection the oracle weighs.
+        let window = !fault_applied
+            && !scheme.policy().root_crash_consistent()
+            && report.outcome == RecoveryOutcome::RootMismatch;
+        let class = if window {
             CaseClass::ExpectedWindowFail
         } else {
-            // A secure scheme rejecting a fault-free crash image — the
-            // oracle decides whether this is a violation.
             CaseClass::DetectedAtRecovery
         };
-        return CaseResult {
-            class,
-            fault_applied,
-            repaired_leaves: report.repaired_leaves,
-            history_dropped: 0,
-            detail: format!("recovery: {:?}", report.outcome),
-        };
+        return outcome(class, format!("recovery: {:?}", report.outcome));
     }
 
-    // Phase 4: audit every persisted value against the shadow copy.
     let mut t = 0;
-    for (&raw, &fill) in &shadow {
+    for (&raw, &fill) in shadow {
         match mem.read_data(LineAddr::new(raw), t) {
             Ok((data, done)) => {
                 t = done;
                 if data != [fill; 64] {
-                    return CaseResult {
-                        class: CaseClass::SilentCorruption,
-                        fault_applied,
-                        repaired_leaves: report.repaired_leaves,
-                        history_dropped: 0,
-                        detail: format!("line {raw}: read wrong bytes without detection"),
-                    };
+                    return outcome(
+                        CaseClass::SilentCorruption,
+                        format!("line {raw}: read wrong bytes without detection"),
+                    );
                 }
             }
             Err(CrashError::Integrity(e)) => {
-                return CaseResult {
-                    class: CaseClass::DetectedOnRead,
-                    fault_applied,
-                    repaired_leaves: report.repaired_leaves,
-                    history_dropped: 0,
-                    detail: format!("read audit: {e}"),
-                };
+                return outcome(CaseClass::DetectedOnRead, format!("read audit: {e}"));
             }
             Err(e) => {
-                return CaseResult {
-                    class: CaseClass::ResumeFailure,
-                    fault_applied,
-                    repaired_leaves: report.repaired_leaves,
-                    history_dropped: 0,
-                    detail: format!("read audit aborted: {e}"),
-                };
+                return outcome(CaseClass::ResumeFailure, format!("read audit aborted: {e}"));
             }
         }
     }
 
-    // Phase 5: prove the machine serves fresh traffic.
     let resume = LineAddr::new(RESUME_ADDR);
     let resumed = mem
         .persist_data(resume, [0xA5; 64], t)
-        .and_then(|done| mem.read_data(resume, done))
-        .map(|(data, _)| data == [0xA5; 64]);
+        .and_then(|done| mem.read_data(resume, done));
     match resumed {
-        Ok(true) => {}
-        Ok(false) => {
-            return CaseResult {
-                class: CaseClass::ResumeFailure,
-                fault_applied,
-                repaired_leaves: report.repaired_leaves,
-                history_dropped: 0,
-                detail: "resume write read back wrong".to_string(),
-            };
+        Ok((data, _)) if data == [0xA5; 64] => {}
+        Ok(_) => {
+            return outcome(
+                CaseClass::ResumeFailure,
+                "resume write read back wrong".to_string(),
+            );
+        }
+        Err(CrashError::Integrity(e)) => {
+            return outcome(CaseClass::DetectedOnRead, format!("resume probe: {e}"));
         }
         Err(e) => {
-            return CaseResult {
-                class: CaseClass::ResumeFailure,
-                fault_applied,
-                repaired_leaves: report.repaired_leaves,
-                history_dropped: 0,
-                detail: format!("resume traffic failed: {e}"),
-            };
+            return outcome(
+                CaseClass::ResumeFailure,
+                format!("resume traffic failed: {e}"),
+            );
         }
     }
 
     let class = if !scheme.policy().is_secure() {
         CaseClass::UnverifiedSurvived
-    } else if report.repaired_leaves > 0 {
+    } else if repaired_leaves > 0 {
         CaseClass::RepairedCounter
     } else {
         CaseClass::RecoveredIntact
     };
-    CaseResult {
-        class,
-        fault_applied,
-        repaired_leaves: report.repaired_leaves,
-        history_dropped: 0,
-        detail: String::new(),
-    }
+    outcome(class, String::new())
 }
 
 /// The differential oracle: is this `(scheme, case, result)` acceptable?

@@ -83,6 +83,31 @@ fn tiny_campaign_is_clean_and_its_json_validates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Seed 4's case 23 on PLP tears the page holding an L1 node that
+/// covers only the resume probe's line: recovery and the read audit
+/// never touch it, so the resume write is the first to verify it. That
+/// MAC mismatch is a detection, not an unusable machine.
+#[test]
+fn integrity_error_on_the_resume_probe_is_a_detection() {
+    let dir = tmp_dir("resume-probe");
+    let out = Command::new(crashtest_exe())
+        .args([
+            "--seed", "4", "--kills", "24", "--scheme", "plp", "--jobs", "2",
+        ])
+        .arg("--dir")
+        .arg(&dir)
+        .output()
+        .expect("run scue-crashtest");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "campaign failed\nstdout: {stdout}\nstderr: {stderr}"
+    );
+    assert!(!stdout.contains("resume_failure"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn child_mode_commits_checkpoints_and_exits_clean() {
     let dir = tmp_dir("child");

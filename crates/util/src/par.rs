@@ -19,11 +19,11 @@
 //!   cell, labelled with the cell's index and `Debug` rendering — the
 //!   same cell a serial loop would have failed on first.
 //!
-//! Job-count plumbing for the CLI bins lives here too: `--jobs N`
-//! beats the `SCUE_JOBS` environment variable beats
-//! [`available_jobs`] (see [`resolve_jobs`]), and an invalid
-//! `SCUE_JOBS` value is a named-variable error so the bins can keep
-//! their exit-2 usage contract.
+//! The job-count rule the CLI bins apply (through `scue_sim::cli`)
+//! lives here too: `--jobs N` beats the `SCUE_JOBS` environment
+//! variable beats [`available_jobs`] (see [`resolve_jobs_from`]), and
+//! an invalid `SCUE_JOBS` value is a named-variable error so the bins
+//! can keep their exit-2 usage contract.
 
 use crate::rng::SplitMix64;
 use std::fmt::Debug;
@@ -76,12 +76,6 @@ pub fn resolve_jobs_from(flag: Option<usize>, env: Option<&str>) -> Result<usize
         }
     };
     Ok(flag.or(env_jobs).unwrap_or_else(available_jobs))
-}
-
-/// [`resolve_jobs_from`] against the live process environment.
-pub fn resolve_jobs(flag: Option<usize>) -> Result<usize, String> {
-    let env = std::env::var(JOBS_ENV).ok();
-    resolve_jobs_from(flag, env.as_deref())
 }
 
 /// Runs `f` over every item of `items` on up to `jobs` scoped worker

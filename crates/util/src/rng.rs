@@ -97,11 +97,6 @@ impl Rng {
         self.core.next_u64()
     }
 
-    /// Returns the next raw 32-bit output (upper bits of the 64-bit one).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.core.next_u64() >> 32) as u32
-    }
-
     /// Uniform sample strictly below `bound` (> 0), bias-free via
     /// rejection of the partial final stripe.
     fn next_below(&mut self, bound: u64) -> u64 {

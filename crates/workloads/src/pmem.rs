@@ -110,11 +110,6 @@ impl PmRegion {
     pub fn into_trace(self) -> Trace {
         self.trace
     }
-
-    /// Operations recorded so far.
-    pub fn recorded_ops(&self) -> usize {
-        self.trace.len()
-    }
 }
 
 #[cfg(test)]

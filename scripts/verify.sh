@@ -51,8 +51,9 @@ echo "torture wall-clock: --jobs 4: $((t1 - t0)) ms, --jobs 1: $((t2 - t1)) ms"
 
 echo "==> kill-9 crash campaign smoke (scue-crashtest, 11 schemes x 7 real SIGKILLs)"
 # Real child processes build a durable file-backed image, get SIGKILLed
-# at sampled checkpoint epochs (21 kills across SCUE/PLP/BMF), and must
-# reopen + recover + shadow-audit clean (exit 1 on any oracle violation).
+# at sampled checkpoint epochs (77 kills, 35 of them across the five
+# root-crash-consistent schemes), and must reopen + recover +
+# shadow-audit clean (exit 1 on any oracle violation).
 t3=$(date +%s%3N)
 cargo run --release --offline -q -p scue-sim --bin scue-crashtest -- \
     --seed 1 --kills 7 --epochs 4 --ops-per-epoch 24 --jobs 4 \

@@ -132,7 +132,7 @@ fn profile_document_is_jobs_invariant() {
 
 #[test]
 fn torture_campaign_is_jobs_invariant() {
-    // The full six-scheme campaign: 100 crash points per scheme, every
+    // The full zoo campaign: 100 crash points per scheme, every
     // (scheme, case) cell fanned out, violations minimised in-cell.
     let cfg = TortureConfig {
         seed: 7,
