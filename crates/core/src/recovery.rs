@@ -24,12 +24,13 @@
 
 use crate::config::{RootDiscipline, SchemeKind};
 use crate::engine::SecureMemory;
+use scue_crypto::cme::CounterBlock;
 use scue_crypto::hmac::bmt_child_hmac;
 use scue_itree::geometry::NodeId;
-use scue_itree::{RootRegister, SitNode};
-use scue_nvm::LineAddr;
+use scue_itree::{MacSideband, RootRegister, SitContext, SitNode};
+use scue_nvm::{LineAddr, NvmStore};
 use scue_util::obs::span;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Latency of one metadata fetch from NVM during recovery, nanoseconds
 /// (the paper's §V-D model: fetches dominate recovery time).
@@ -196,7 +197,6 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
     let scheme = mem.scheme();
     let root = scheme.policy().root;
     let (ctx, mc, sideband, running_root, recovery_root, nvmc) = mem.parts_for_probe();
-    let geom = ctx.geometry().clone();
     let mut out = ConsistencyProbe {
         scheme,
         verified: scheme.policy().is_secure(),
@@ -206,83 +206,28 @@ pub(crate) fn probe(mem: &SecureMemory) -> ConsistencyProbe {
         trusted_sum: 0,
         root_consistent: true,
     };
-    if root == RootDiscipline::Unverified {
-        return out;
-    }
-
-    if root == RootDiscipline::PerLeaf {
-        // Flat per-leaf check against the nvMC registers, mirroring
-        // `recover_bmf` without the early return.
-        let key = *ctx.key();
-        let mut indices: Vec<u64> = nvmc.keys().copied().collect();
-        for (addr, _) in mc.store().iter() {
-            if let Some(node) = geom.node_at_addr(addr) {
-                if node.level == 0 {
-                    indices.push(node.index);
-                }
+    match root {
+        RootDiscipline::Unverified => {}
+        // The per-leaf nvMC check `recover_bmf` runs, without its early
+        // return.
+        RootDiscipline::PerLeaf => {
+            for (_, matches) in nvmc_leaves(ctx, mc.store(), nvmc) {
+                out.leaves_seen += 1;
+                out.leaf_mac_failures += u64::from(!matches);
             }
         }
-        indices.sort_unstable();
-        indices.dedup();
-        for index in indices {
-            out.leaves_seen += 1;
-            let addr = geom.node_addr(NodeId::new(0, index));
-            let line = mc.store().read_line(addr);
-            let expected = nvmc.get(&index).copied().unwrap_or(0);
-            let actual = if expected == 0 && line == [0u8; 64] {
-                0
-            } else {
-                scue_crypto::hmac::bmt_child_hmac(&key, addr.raw(), &line)
-            };
-            if actual != expected {
-                out.leaf_mac_failures += 1;
-            }
-        }
-        return out;
-    }
-
-    // Counter-summing schemes: the Fig. 8 reconstruction, read-only.
-    let mut touched: Vec<LineAddr> = mc.store().iter().map(|(a, _)| a).collect();
-    touched.sort_unstable_by_key(|a| a.raw());
-    let mut leaves: BTreeMap<u64, scue_crypto::cme::CounterBlock> = BTreeMap::new();
-    for addr in touched {
-        if let Some(node) = geom.node_at_addr(addr) {
-            if node.level == 0 {
-                leaves.insert(
-                    node.index,
-                    scue_crypto::cme::CounterBlock::from_line(&mc.store().read_line(addr)),
-                );
-            }
+        // Counter-summing schemes: the Fig. 8 reconstruction, read-only.
+        _ => {
+            let leaves = scan_leaves(ctx, mc.store());
+            out.leaves_seen = leaves.len() as u64;
+            out.leaf_mac_failures = bad_leaves(ctx, sideband, &leaves).count() as u64;
+            let (_, rebuilt_root) = sum_upward(ctx, &leaves);
+            let trusted = trusted_root(root, running_root, recovery_root);
+            out.rebuilt_sum = rebuilt_root.counters().iter().sum();
+            out.trusted_sum = trusted.counters().iter().sum();
+            out.root_consistent = rebuilt_root == *trusted;
         }
     }
-    out.leaves_seen = leaves.len() as u64;
-    for (&index, block) in &leaves {
-        let leaf = NodeId::new(0, index);
-        let dummy = ctx.leaf_dummy(block);
-        let mac = sideband.get(geom.node_addr(leaf));
-        if !ctx.verify_leaf(leaf, block, mac, dummy) {
-            out.leaf_mac_failures += 1;
-        }
-    }
-    let mut current: BTreeMap<u64, u64> = leaves
-        .iter()
-        .map(|(&i, b)| (i, ctx.leaf_dummy(b)))
-        .collect();
-    for _level in 1..geom.stored_levels() {
-        let mut next: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&child_idx, &dummy) in &current {
-            *next.entry(child_idx / 8).or_insert(0) += dummy;
-        }
-        current = next;
-    }
-    let mut rebuilt_root = RootRegister::new();
-    for (&idx, &dummy) in &current {
-        rebuilt_root.add((idx % 8) as usize, dummy);
-    }
-    let trusted = trusted_root(root, running_root, recovery_root);
-    out.rebuilt_sum = rebuilt_root.counters().iter().sum();
-    out.trusted_sum = trusted.counters().iter().sum();
-    out.root_consistent = rebuilt_root == *trusted;
     out
 }
 
@@ -315,19 +260,18 @@ fn trusted_root<'a>(
     }
 }
 
-/// Per-leaf nvMC: every leaf's persistent root (its MAC in the nvMC)
-/// survived the crash on-chip; verification is a flat scan.
-fn recover_bmf(mem: &mut SecureMemory) -> RecoveryReport {
-    // BMF is one flat pass over the leaves: all scan, no summing.
-    let _span = span::enter("recovery.scan");
-    let (ctx, mc, _sideband, _running, _recovery, nvmc) = mem.parts_for_recovery();
-    let geom = ctx.geometry().clone();
-    let key = *ctx.key();
-    let mut leaves_checked = 0u64;
-    // Check every leaf that either exists in NVM or is claimed by the
-    // nvMC (a leaf rolled back to all-zero must still be caught).
+/// Every leaf a per-leaf-nvMC scheme checks, in index order — each leaf
+/// in the NVM image or claimed by the nvMC (a leaf rolled back to
+/// all-zero must still be caught) — with whether its stored line still
+/// matches its nvMC register.
+fn nvmc_leaves<'a>(
+    ctx: &'a SitContext,
+    store: &'a NvmStore,
+    nvmc: &'a HashMap<u64, u64>,
+) -> impl Iterator<Item = (u64, bool)> + 'a {
+    let geom = ctx.geometry();
     let mut indices: Vec<u64> = nvmc.keys().copied().collect();
-    for (addr, _) in mc.store().iter() {
+    for (addr, _) in store.iter() {
         if let Some(node) = geom.node_at_addr(addr) {
             if node.level == 0 {
                 indices.push(node.index);
@@ -336,29 +280,107 @@ fn recover_bmf(mem: &mut SecureMemory) -> RecoveryReport {
     }
     indices.sort_unstable();
     indices.dedup();
-    for index in indices {
-        leaves_checked += 1;
+    indices.into_iter().map(move |index| {
         let addr = geom.node_addr(NodeId::new(0, index));
-        let line = mc.store().read_line(addr);
+        let line = store.read_line(addr);
         let expected = nvmc.get(&index).copied().unwrap_or(0);
         let actual = if expected == 0 && line == [0u8; 64] {
             0
         } else {
-            bmt_child_hmac(&key, addr.raw(), &line)
+            bmt_child_hmac(ctx.key(), addr.raw(), &line)
         };
-        if actual != expected {
-            return RecoveryReport::new(
-                RecoveryOutcome::LeafMacMismatch { leaf: index },
-                leaves_checked,
-                RecoveryPhases {
-                    scan_fetches: leaves_checked,
-                    ..Default::default()
-                },
-            );
+        (index, actual == expected)
+    })
+}
+
+/// Step 0 of Fig. 8: the touched leaves' counter blocks, read from the
+/// NVM image and keyed by leaf index.
+fn scan_leaves(ctx: &SitContext, store: &NvmStore) -> BTreeMap<u64, CounterBlock> {
+    let geom = ctx.geometry();
+    let mut leaves = BTreeMap::new();
+    let mut touched: Vec<LineAddr> = store.iter().map(|(a, _)| a).collect();
+    // The sparse store iterates in hash order; sort so downstream work
+    // (BTreeMap build order, hence its allocation pattern) is identical
+    // from run to run — the span profiler's per-phase allocation counts
+    // are golden-tested.
+    touched.sort_unstable_by_key(|a| a.raw());
+    for addr in touched {
+        if let Some(node) = geom.node_at_addr(addr) {
+            if node.level == 0 {
+                leaves.insert(node.index, CounterBlock::from_line(&store.read_line(addr)));
+            }
+        }
+    }
+    leaves
+}
+
+/// Steps 1–2: the leaves whose stored HMAC does not verify against
+/// their reconstructed Level-1 counter (the leaf's dummy), in index
+/// order.
+fn bad_leaves<'a>(
+    ctx: &'a SitContext,
+    sideband: &'a MacSideband,
+    leaves: &'a BTreeMap<u64, CounterBlock>,
+) -> impl Iterator<Item = u64> + 'a {
+    leaves
+        .iter()
+        .filter(move |&(&index, block)| {
+            let leaf = NodeId::new(0, index);
+            let mac = sideband.get(ctx.geometry().node_addr(leaf));
+            !ctx.verify_leaf(leaf, block, mac, ctx.leaf_dummy(block))
+        })
+        .map(|(&index, _)| index)
+}
+
+/// Step 3: the leaf dummies summed upward level by level (sparse: only
+/// touched subtrees). Returns the rebuilt intermediate nodes, bottom-up,
+/// and the rebuilt root.
+fn sum_upward(
+    ctx: &SitContext,
+    leaves: &BTreeMap<u64, CounterBlock>,
+) -> (Vec<(NodeId, SitNode)>, RootRegister) {
+    let mut rebuilt_nodes: Vec<(NodeId, SitNode)> = Vec::new();
+    let mut current: BTreeMap<u64, u64> = leaves
+        .iter()
+        .map(|(&i, b)| (i, ctx.leaf_dummy(b)))
+        .collect();
+    for level in 1..ctx.geometry().stored_levels() {
+        let mut nodes: BTreeMap<u64, SitNode> = BTreeMap::new();
+        for (&child_idx, &dummy) in &current {
+            let node = nodes.entry(child_idx / 8).or_default();
+            node.set_counter((child_idx % 8) as usize, dummy);
+        }
+        let mut next: BTreeMap<u64, u64> = BTreeMap::new();
+        for (&idx, node) in &nodes {
+            next.insert(idx, node.counter_sum());
+            rebuilt_nodes.push((NodeId::new(level, idx), *node));
+        }
+        current = next;
+    }
+    let mut rebuilt_root = RootRegister::new();
+    for (&idx, &dummy) in &current {
+        rebuilt_root.add((idx % 8) as usize, dummy);
+    }
+    (rebuilt_nodes, rebuilt_root)
+}
+
+/// Per-leaf nvMC: every leaf's persistent root (its MAC in the nvMC)
+/// survived the crash on-chip; verification is a flat scan.
+fn recover_bmf(mem: &mut SecureMemory) -> RecoveryReport {
+    // BMF is one flat pass over the leaves: all scan, no summing.
+    let _span = span::enter("recovery.scan");
+    let (ctx, mc, _sideband, _running, _recovery, nvmc) = mem.parts_for_recovery();
+    let mut leaves_checked = 0u64;
+    let mut outcome = RecoveryOutcome::Clean;
+    for (index, matches) in nvmc_leaves(ctx, mc.store(), nvmc) {
+        leaves_checked += 1;
+        if !matches {
+            outcome = RecoveryOutcome::LeafMacMismatch { leaf: index };
+            break;
         }
     }
     RecoveryReport::new(
-        RecoveryOutcome::Clean,
+        outcome,
         leaves_checked,
         RecoveryPhases {
             scan_fetches: leaves_checked,
@@ -373,25 +395,8 @@ fn recover_counter_summing(mem: &mut SecureMemory) -> RecoveryReport {
     let (ctx, mc, sideband, running_root, recovery_root, _nvmc) = mem.parts_for_recovery();
     let geom = ctx.geometry().clone();
 
-    // Step 0: enumerate the touched leaves from the NVM image.
     let span_scan = span::enter("recovery.scan");
-    let mut leaves: BTreeMap<u64, scue_crypto::cme::CounterBlock> = BTreeMap::new();
-    let mut touched: Vec<LineAddr> = mc.store().iter().map(|(a, _)| a).collect();
-    // The sparse store iterates in hash order; sort so downstream work
-    // (BTreeMap build order, hence its allocation pattern) is identical
-    // from run to run — the span profiler's per-phase allocation counts
-    // are golden-tested.
-    touched.sort_unstable_by_key(|a| a.raw());
-    for addr in touched {
-        if let Some(node) = geom.node_at_addr(addr) {
-            if node.level == 0 {
-                leaves.insert(
-                    node.index,
-                    scue_crypto::cme::CounterBlock::from_line(&mc.store().read_line(addr)),
-                );
-            }
-        }
-    }
+    let leaves = scan_leaves(ctx, mc.store());
     let leaves_checked = leaves.len() as u64;
     let mut phases = RecoveryPhases {
         scan_fetches: leaves_checked,
@@ -399,48 +404,19 @@ fn recover_counter_summing(mem: &mut SecureMemory) -> RecoveryReport {
     };
     drop(span_scan);
 
-    // Steps 1–2: reconstruct Level-1 counters as leaf dummies and verify
-    // every leaf HMAC against them. On-chip work over already-scanned
+    // Leaf verification and summing are on-chip work over the scanned
     // leaves: no additional fetches.
     let span_sum = span::enter("recovery.sum");
-    for (&index, block) in &leaves {
-        let leaf = NodeId::new(0, index);
-        let dummy = ctx.leaf_dummy(block);
-        let mac = sideband.get(geom.node_addr(leaf));
-        if !ctx.verify_leaf(leaf, block, mac, dummy) {
-            return RecoveryReport::new(
-                RecoveryOutcome::LeafMacMismatch { leaf: index },
-                leaves_checked,
-                phases,
-            );
-        }
+    if let Some(leaf) = bad_leaves(ctx, sideband, &leaves).next() {
+        return RecoveryReport::new(
+            RecoveryOutcome::LeafMacMismatch { leaf },
+            leaves_checked,
+            phases,
+        );
     }
-
-    // Step 3: sum upward level by level (sparse: only touched subtrees).
-    let mut rebuilt_nodes: Vec<(NodeId, SitNode)> = Vec::new();
-    let mut current: BTreeMap<u64, u64> = leaves
-        .iter()
-        .map(|(&i, b)| (i, ctx.leaf_dummy(b)))
-        .collect();
-    for level in 1..geom.stored_levels() {
-        let mut nodes: BTreeMap<u64, SitNode> = BTreeMap::new();
-        for (&child_idx, &dummy) in &current {
-            let node = nodes.entry(child_idx / 8).or_default();
-            node.set_counter((child_idx % 8) as usize, dummy);
-        }
-        let mut next: BTreeMap<u64, u64> = BTreeMap::new();
-        for (&idx, node) in &nodes {
-            next.insert(idx, node.counter_sum());
-            rebuilt_nodes.push((NodeId::new(level, idx), *node));
-        }
-        current = next;
-    }
+    let (rebuilt_nodes, rebuilt_root) = sum_upward(ctx, &leaves);
 
     // Step 4: reconstructed root vs. the stored trust base.
-    let mut rebuilt_root = RootRegister::new();
-    for (&idx, &dummy) in &current {
-        rebuilt_root.add((idx % 8) as usize, dummy);
-    }
     if rebuilt_root != *trusted_root(root, running_root, recovery_root) {
         return RecoveryReport::new(RecoveryOutcome::RootMismatch, leaves_checked, phases);
     }

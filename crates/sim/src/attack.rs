@@ -25,26 +25,20 @@
 //!   the root was stale regardless of the attack, so the failure cannot
 //!   be attributed to detection.
 //!
-//! Oracle violations are shrunk with the in-repo property-test engine
-//! to a minimal `scheme:attack:ops:inject_at` spec and reported with a
-//! replay command, exactly like the torture campaign.
+//! [`Attack`] runs the campaign through [`crate::campaign`], which
+//! shrinks oracle violations to a minimal
+//! `scheme:attack:ops:inject_at` spec and reports them with a replay
+//! command, exactly like the torture campaign.
 
+use crate::campaign::{self, Campaign, Tally};
 use crate::torture::op_at;
 use scue::attack as tamper;
 use scue::{RecoveryOutcome, RootDiscipline, SchemeKind, SecureMemConfig, SecureMemory};
 use scue_itree::geometry::{NodeId, Parent};
 use scue_nvm::{Cycle, LineAddr};
 use scue_util::obs::{Histogram, Json};
-use scue_util::par;
-use scue_util::prop::{shrink_failure, Strategy};
 use scue_util::rng::Rng;
 use std::collections::BTreeMap;
-
-/// Version stamped into every attack-campaign JSON document.
-pub const ATTACK_SCHEMA_VERSION: u64 = 1;
-
-/// Document kind tag distinguishing attack-campaign output.
-pub const ATTACK_DOC_KIND: &str = "scue-attack";
 
 /// Reads issued after the setup stream to evict the victim's metadata
 /// (16-line, 2-way cache: 24 distinct far leaves displace everything).
@@ -62,9 +56,6 @@ const SETTLE_LINE: u64 = 3904;
 /// (leaves 0–31): enough distinct metadata to keep evicting and
 /// refetching the tampered branch.
 const SCAN_SPAN_LINES: u64 = 2048;
-
-/// Shrink budget per violation (property evaluations).
-const SHRINK_EVALS: u32 = 120;
 
 /// One tamper class from the §IV-B2 taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -110,7 +101,7 @@ impl AttackKind {
 
 /// One attack case: which tamper, how long the op stream runs, and the
 /// op index after which the tamper lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AttackSpec {
     /// The injected attack.
     pub attack: AttackKind,
@@ -134,50 +125,24 @@ impl AttackSpec {
         )
     }
 
-    /// Parses a `scheme:attack:ops:inject_at` replay spec.
-    pub fn parse_replay(spec: &str) -> Option<(SchemeKind, AttackSpec)> {
-        Self::diagnose_replay(spec).ok()
-    }
-
-    /// [`AttackSpec::parse_replay`] with a diagnosis: the error names
-    /// the offending field and echoes the offending value.
+    /// Parses a `scheme:attack:ops:inject_at` replay spec; the error
+    /// names the offending field and echoes the offending value.
     pub fn diagnose_replay(spec: &str) -> Result<(SchemeKind, AttackSpec), String> {
-        let mut parts = spec.split(':');
-        let mut field = |name: &str| {
-            parts
-                .next()
-                .ok_or_else(|| format!("replay spec is missing the {name} field"))
-        };
-        let scheme_str = field("scheme")?;
-        let scheme = SchemeKind::parse(scheme_str)
-            .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
-        let attack_str = field("attack")?;
-        let attack = AttackKind::parse(attack_str)
-            .ok_or_else(|| format!("invalid attack in replay spec: `{attack_str}`"))?;
-        let ops_str = field("ops")?;
-        let ops: usize = ops_str
-            .parse()
-            .map_err(|_| format!("invalid ops in replay spec: `{ops_str}`"))?;
-        let inject_str = field("inject_at")?;
-        let inject_at: usize = inject_str
-            .parse()
-            .map_err(|_| format!("invalid inject_at in replay spec: `{inject_str}`"))?;
-        if inject_at > ops {
-            return Err(format!(
-                "invalid inject_at in replay spec: `{inject_str}` exceeds ops `{ops_str}`"
-            ));
-        }
-        if let Some(extra) = parts.next() {
-            return Err(format!("trailing field in replay spec: `{extra}`"));
-        }
-        Ok((
-            scheme,
-            AttackSpec {
+        campaign::parse_spec(spec, |fields| {
+            let attack = fields.field("attack", AttackKind::parse)?;
+            let (ops, ops_token) = fields.token("ops", |s| s.parse::<usize>().ok())?;
+            let (inject_at, inject_token) = fields.token("inject_at", |s| s.parse().ok())?;
+            if inject_at > ops {
+                return Err(format!(
+                    "invalid inject_at in replay spec: `{inject_token}` exceeds ops `{ops_token}`"
+                ));
+            }
+            Ok(AttackSpec {
                 attack,
                 ops,
                 inject_at,
-            },
-        ))
+            })
+        })
     }
 }
 
@@ -258,7 +223,8 @@ pub struct AttackConfig {
     /// Master seed: op stream and injection-point sampling derive from
     /// it.
     pub seed: u64,
-    /// Persists in each case's op stream.
+    /// Persists in each case's op stream (at least 2, so an injection
+    /// point exists inside the stream).
     pub ops: usize,
     /// Read-scan budget after the op stream ends.
     pub drive_ops: usize,
@@ -630,25 +596,82 @@ pub fn oracle(
     }
 }
 
-/// Strategy over [`AttackSpec`] used only for shrinking: fewer ops and
-/// an earlier injection are "smaller"; the attack kind is pinned (it is
-/// the hypothesis under test).
-struct AttackStrategy {
-    attack: AttackKind,
+/// The attack campaign: `points` attack cases per scheme under `cfg`.
+#[derive(Debug, Clone, Copy)]
+pub struct Attack {
+    /// Configuration in force.
+    pub cfg: AttackConfig,
+    /// Cases sampled per scheme.
+    pub points: usize,
 }
 
-impl Strategy for AttackStrategy {
-    type Value = AttackSpec;
+/// Per-scheme attack sums.
+#[derive(Debug, Clone, Default)]
+pub struct AttackSums {
+    /// Cases whose injection actually changed NVM.
+    pub mutated: u64,
+    /// Outcome tallies per attack kind, aligned with
+    /// [`AttackKind::ALL`].
+    pub per_attack: [BTreeMap<AttackClass, u64>; 4],
+    /// Online detection latencies (ops from injection to the first
+    /// integrity error).
+    pub latency: Histogram,
+}
 
-    fn generate(&self, rng: &mut Rng) -> AttackSpec {
-        let ops = rng.gen_range(1..256usize);
-        AttackSpec {
-            attack: self.attack,
-            ops,
-            inject_at: rng.gen_range(0..=ops),
-        }
+impl Campaign for Attack {
+    type Case = AttackSpec;
+    type Class = AttackClass;
+    type Result = AttackCaseResult;
+    type Sums = AttackSums;
+
+    const KIND: &'static str = "scue-attack";
+    const SCHEMA_VERSION: u64 = 1;
+    const CLASSES: &'static [AttackClass] = &AttackClass::ALL;
+    const SHRINK_EVALS: u32 = 120;
+
+    fn class_name(class: AttackClass) -> &'static str {
+        class.name()
     }
 
+    /// Attack kinds rotate through [`AttackKind::ALL`]; injection points
+    /// spread over the middle of the op stream.
+    fn sample(&self, scheme: SchemeKind) -> Vec<AttackSpec> {
+        let ops = self.cfg.ops;
+        let mut rng =
+            Rng::from_seed(self.cfg.seed ^ (scheme as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+        let lo = (ops / 4).max(1);
+        (0..self.points)
+            .map(|i| AttackSpec {
+                attack: AttackKind::ALL[i % AttackKind::ALL.len()],
+                ops,
+                inject_at: rng.gen_range(lo..ops),
+            })
+            .collect()
+    }
+
+    fn run(&self, scheme: SchemeKind, spec: AttackSpec) -> AttackCaseResult {
+        run_attack_case(scheme, &self.cfg, spec)
+    }
+
+    fn class(result: &AttackCaseResult) -> AttackClass {
+        result.class
+    }
+
+    fn detail(result: &AttackCaseResult) -> &str {
+        &result.detail
+    }
+
+    fn oracle(
+        &self,
+        scheme: SchemeKind,
+        spec: &AttackSpec,
+        result: &AttackCaseResult,
+    ) -> Result<(), String> {
+        oracle(scheme, *spec, result)
+    }
+
+    /// Fewer ops and an earlier injection are "smaller"; the attack kind
+    /// is pinned (it is the hypothesis under test).
     fn shrink(&self, v: &AttackSpec) -> Vec<AttackSpec> {
         let mut out = Vec::new();
         if v.ops > 1 {
@@ -668,316 +691,82 @@ impl Strategy for AttackStrategy {
         out.retain(|c| c != v);
         out
     }
-}
 
-/// One minimised oracle violation, ready to replay.
-#[derive(Debug, Clone)]
-pub struct AttackViolation {
-    /// The scheme that violated the oracle.
-    pub scheme: SchemeKind,
-    /// The minimal failing spec.
-    pub spec: AttackSpec,
-    /// The oracle's reason at the minimal spec.
-    pub message: String,
-    /// Successful shrink steps applied to reach the minimum.
-    pub shrink_steps: u32,
-    /// Property evaluations spent shrinking.
-    pub evals: u32,
-}
-
-impl AttackViolation {
-    /// The command that reproduces this exact violation.
-    pub fn replay_command(&self, cfg: &AttackConfig) -> String {
-        format!(
-            "scue-attack --seed {} --drive {} --replay {}",
-            cfg.seed,
-            cfg.drive_ops,
-            self.spec.replay_spec(self.scheme)
-        )
-    }
-}
-
-/// Shrinks one violating spec to a local minimum with the prop-harness
-/// engine; the test re-runs the full case + oracle each evaluation.
-pub fn minimise(
-    scheme: SchemeKind,
-    cfg: &AttackConfig,
-    spec: AttackSpec,
-    message: String,
-) -> AttackViolation {
-    let strategy = AttackStrategy {
-        attack: spec.attack,
-    };
-    let cfg_copy = *cfg;
-    let shrunk = shrink_failure(&strategy, spec, message, SHRINK_EVALS, move |candidate| {
-        oracle(
-            scheme,
-            candidate,
-            &run_attack_case(scheme, &cfg_copy, candidate),
-        )
-    });
-    AttackViolation {
-        scheme,
-        spec: shrunk.minimal,
-        message: shrunk.message,
-        shrink_steps: shrunk.shrink_steps,
-        evals: shrunk.evals,
-    }
-}
-
-/// Per-scheme campaign tally.
-#[derive(Debug, Clone)]
-pub struct AttackSchemeTally {
-    /// The scheme.
-    pub scheme: SchemeKind,
-    /// Cases run.
-    pub cases: u64,
-    /// Cases whose injection actually changed NVM.
-    pub mutated: u64,
-    /// Outcome tally across all attacks, keyed in [`AttackClass::ALL`]
-    /// order.
-    pub outcomes: BTreeMap<AttackClass, u64>,
-    /// Outcome tallies per attack kind, aligned with
-    /// [`AttackKind::ALL`].
-    pub per_attack: [BTreeMap<AttackClass, u64>; 4],
-    /// Online detection latencies (ops from injection to the first
-    /// integrity error).
-    pub latency: Histogram,
-    /// Oracle violations among these cases.
-    pub violations: u64,
-}
-
-impl AttackSchemeTally {
-    fn empty(scheme: SchemeKind) -> Self {
-        AttackSchemeTally {
-            scheme,
-            cases: 0,
-            mutated: 0,
-            outcomes: BTreeMap::new(),
-            per_attack: Default::default(),
-            latency: Histogram::new(),
-            violations: 0,
-        }
-    }
-}
-
-/// A full attack campaign's results.
-#[derive(Debug, Clone)]
-pub struct AttackCampaignReport {
-    /// Configuration in force.
-    pub config: AttackConfig,
-    /// Cases sampled per scheme.
-    pub points: usize,
-    /// Per-scheme tallies.
-    pub tallies: Vec<AttackSchemeTally>,
-    /// Minimised violations (empty on a healthy campaign).
-    pub violations: Vec<AttackViolation>,
-}
-
-impl AttackCampaignReport {
-    /// Total oracle violations across all schemes.
-    pub fn total_violations(&self) -> u64 {
-        self.tallies.iter().map(|t| t.violations).sum()
-    }
-
-    /// The campaign as a versioned JSON document.
-    pub fn to_json(&self) -> Json {
-        let classes = |tally: &BTreeMap<AttackClass, u64>| {
-            let mut outcomes = Json::obj();
-            for class in AttackClass::ALL {
-                outcomes.set(
-                    class.name(),
-                    Json::U64(tally.get(&class).copied().unwrap_or(0)),
-                );
-            }
-            outcomes
-        };
-        let schemes = self
-            .tallies
-            .iter()
-            .map(|t| {
-                let attacks = AttackKind::ALL
-                    .iter()
-                    .zip(&t.per_attack)
-                    .map(|(kind, tally)| {
-                        Json::obj()
-                            .with("attack", Json::Str(kind.name().to_string()))
-                            .with("outcomes", classes(tally))
-                    })
-                    .collect();
-                Json::obj()
-                    .with("scheme", Json::Str(t.scheme.to_string()))
-                    .with("cases", Json::U64(t.cases))
-                    .with("mutated", Json::U64(t.mutated))
-                    .with("outcomes", classes(&t.outcomes))
-                    .with("attacks", Json::Arr(attacks))
-                    .with("detection_latency", t.latency.summary_json())
-                    .with("oracle_violations", Json::U64(t.violations))
-            })
-            .collect();
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| {
-                Json::obj()
-                    .with("scheme", Json::Str(v.scheme.to_string()))
-                    .with("attack", Json::Str(v.spec.attack.name().to_string()))
-                    .with("ops", Json::U64(v.spec.ops as u64))
-                    .with("inject_at", Json::U64(v.spec.inject_at as u64))
-                    .with("message", Json::Str(v.message.clone()))
-                    .with("shrink_steps", Json::U64(v.shrink_steps as u64))
-                    .with("replay", Json::Str(v.replay_command(&self.config)))
-            })
-            .collect();
-        Json::obj()
-            .with("schema_version", Json::U64(ATTACK_SCHEMA_VERSION))
-            .with("kind", Json::Str(ATTACK_DOC_KIND.to_string()))
-            .with("seed", Json::U64(self.config.seed))
-            .with("points", Json::U64(self.points as u64))
-            .with("ops", Json::U64(self.config.ops as u64))
-            .with("drive_ops", Json::U64(self.config.drive_ops as u64))
-            .with("schemes", Json::Arr(schemes))
-            .with("total_violations", Json::U64(self.total_violations()))
-            .with("violations", Json::Arr(violations))
-    }
-}
-
-/// Samples `points` attack cases for one scheme: attack kinds rotating
-/// through [`AttackKind::ALL`], injection points spread over the middle
-/// of the op stream.
-fn sample_specs(scheme: SchemeKind, cfg: &AttackConfig, points: usize) -> Vec<AttackSpec> {
-    let mut rng =
-        Rng::from_seed(cfg.seed ^ (scheme as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    let ops = cfg.ops.max(2);
-    let lo = (ops / 4).max(1);
-    (0..points)
-        .map(|i| AttackSpec {
-            attack: AttackKind::ALL[i % AttackKind::ALL.len()],
-            ops,
-            inject_at: rng.gen_range(lo..ops),
-        })
-        .collect()
-}
-
-/// One attack cell's result, independent of worker or completion order.
-#[derive(Debug, Clone)]
-struct AttackOutcome {
-    scheme: SchemeKind,
-    spec: AttackSpec,
-    result: AttackCaseResult,
-    violation: Option<AttackViolation>,
-}
-
-/// Runs one `(scheme, spec)` cell: case, oracle, and — on a violation —
-/// the shrinking minimiser, all inside the cell so the result is a pure
-/// function of the cell.
-fn run_cell(scheme: SchemeKind, cfg: &AttackConfig, spec: AttackSpec) -> AttackOutcome {
-    let result = run_attack_case(scheme, cfg, spec);
-    let violation = match oracle(scheme, spec, &result) {
-        Ok(()) => None,
-        Err(message) => Some(minimise(scheme, cfg, spec, message)),
-    };
-    AttackOutcome {
-        scheme,
-        spec,
-        result,
-        violation,
-    }
-}
-
-/// Folds per-cell outcomes into an [`AttackCampaignReport`], independent
-/// of arrival order: tallies sum commutatively in the caller's scheme
-/// order, latencies merge into the per-scheme histogram, and violations
-/// get a canonical sort before rendering.
-fn merge_outcomes(
-    cfg: &AttackConfig,
-    points: usize,
-    schemes: &[SchemeKind],
-    outcomes: &[AttackOutcome],
-) -> AttackCampaignReport {
-    let position = |scheme: SchemeKind| {
-        schemes
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("outcome scheme must come from the campaign's scheme list")
-    };
-    let attack_pos = |a: AttackKind| AttackKind::ALL.iter().position(|&k| k == a).unwrap_or(0);
-    let mut tallies: Vec<AttackSchemeTally> = schemes
-        .iter()
-        .map(|&s| AttackSchemeTally::empty(s))
-        .collect();
-    let mut violations = Vec::new();
-    for outcome in outcomes {
-        let tally = &mut tallies[position(outcome.scheme)];
-        tally.cases += 1;
-        if outcome.result.mutated {
-            tally.mutated += 1;
-        }
-        *tally.outcomes.entry(outcome.result.class).or_insert(0) += 1;
-        *tally.per_attack[attack_pos(outcome.spec.attack)]
-            .entry(outcome.result.class)
+    fn add(sums: &mut AttackSums, spec: &AttackSpec, result: &AttackCaseResult) {
+        sums.mutated += u64::from(result.mutated);
+        let kind = AttackKind::ALL.iter().position(|&k| k == spec.attack);
+        *sums.per_attack[kind.unwrap_or(0)]
+            .entry(result.class)
             .or_insert(0) += 1;
-        if let Some(latency) = outcome.result.latency {
-            tally.latency.record(latency);
-        }
-        if let Some(violation) = &outcome.violation {
-            tally.violations += 1;
-            violations.push(violation.clone());
+        if let Some(latency) = result.latency {
+            sums.latency.record(latency);
         }
     }
-    violations.sort_by(|a, b| {
-        (
-            position(a.scheme),
-            attack_pos(a.spec.attack),
-            a.spec.ops,
-            a.spec.inject_at,
-            &a.message,
+
+    fn params_json(&self, doc: Json) -> Json {
+        doc.with("seed", Json::U64(self.cfg.seed))
+            .with("points", Json::U64(self.points as u64))
+            .with("ops", Json::U64(self.cfg.ops as u64))
+            .with("drive_ops", Json::U64(self.cfg.drive_ops as u64))
+    }
+
+    fn sums_json(sums: &AttackSums, outcomes: Json, entry: Json) -> Json {
+        let attacks = AttackKind::ALL
+            .iter()
+            .zip(&sums.per_attack)
+            .map(|(kind, tally)| {
+                Json::obj()
+                    .with("attack", Json::Str(kind.name().to_string()))
+                    .with("outcomes", campaign::outcomes_json::<Attack>(tally))
+            })
+            .collect();
+        entry
+            .with("mutated", Json::U64(sums.mutated))
+            .with("outcomes", outcomes)
+            .with("attacks", Json::Arr(attacks))
+            .with("detection_latency", sums.latency.summary_json())
+    }
+
+    fn tally_line(tally: &Tally<Self>) -> String {
+        let latency = &tally.sums.latency;
+        let latency = if latency.is_empty() {
+            "latency=none".to_string()
+        } else {
+            format!(
+                "latency(n={} mean={:.1} max={})",
+                latency.count(),
+                latency.mean(),
+                latency.max(),
+            )
+        };
+        format!(
+            "mutated={} violations={} {latency}",
+            tally.sums.mutated, tally.violations
         )
-            .cmp(&(
-                position(b.scheme),
-                attack_pos(b.spec.attack),
-                b.spec.ops,
-                b.spec.inject_at,
-                &b.message,
-            ))
-    });
-    AttackCampaignReport {
-        config: *cfg,
-        points,
-        tallies,
-        violations,
     }
-}
 
-/// Runs the full campaign serially; see [`campaign_with_jobs`].
-pub fn campaign(cfg: &AttackConfig, points: usize, schemes: &[SchemeKind]) -> AttackCampaignReport {
-    campaign_with_jobs(cfg, points, schemes, 1)
-}
+    fn case_json(spec: &AttackSpec, entry: Json) -> Json {
+        entry
+            .with("attack", Json::Str(spec.attack.name().to_string()))
+            .with("ops", Json::U64(spec.ops as u64))
+            .with("inject_at", Json::U64(spec.inject_at as u64))
+    }
 
-/// [`campaign`] fanned out over up to `jobs` worker threads.
-///
-/// Every `(scheme, spec)` pair becomes one [`par::run_indexed`] cell
-/// (case + oracle + minimise). Each cell is a pure function of its spec
-/// and the merge is order-independent, so the report (and its JSON
-/// rendering) is byte-identical at any job count.
-pub fn campaign_with_jobs(
-    cfg: &AttackConfig,
-    points: usize,
-    schemes: &[SchemeKind],
-    jobs: usize,
-) -> AttackCampaignReport {
-    let cells: Vec<(SchemeKind, AttackSpec)> = schemes
-        .iter()
-        .flat_map(|&scheme| {
-            sample_specs(scheme, cfg, points)
-                .into_iter()
-                .map(move |spec| (scheme, spec))
-        })
-        .collect();
-    let outcomes = par::run_indexed(jobs, &cells, |_, &(scheme, spec), _| {
-        run_cell(scheme, cfg, spec)
-    });
-    merge_outcomes(cfg, points, schemes, &outcomes)
+    fn replay_command(&self, scheme: SchemeKind, spec: &AttackSpec) -> Option<String> {
+        Some(format!(
+            "scue-attack --seed {} --drive {} --replay {}",
+            self.cfg.seed,
+            self.cfg.drive_ops,
+            spec.replay_spec(scheme)
+        ))
+    }
+
+    fn describe(result: &AttackCaseResult) -> String {
+        match result.latency {
+            Some(l) => format!("mutated={}, latency={l}", result.mutated),
+            None => format!("mutated={}", result.mutated),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1002,8 +791,8 @@ mod tests {
                     inject_at: 17,
                 };
                 let rendered = spec.replay_spec(scheme);
-                let (s2, spec2) = AttackSpec::parse_replay(&rendered)
-                    .unwrap_or_else(|| panic!("`{rendered}` must parse"));
+                let (s2, spec2) = AttackSpec::diagnose_replay(&rendered)
+                    .unwrap_or_else(|e| panic!("`{rendered}` must parse: {e}"));
                 assert_eq!(s2, scheme);
                 assert_eq!(spec2, spec);
                 assert_eq!(spec2.replay_spec(s2), rendered, "parse→render identity");
@@ -1124,11 +913,12 @@ mod tests {
     fn campaign_is_clean_and_jobs_invariant_at_small_scale() {
         let cfg = quick_cfg();
         let schemes = [SchemeKind::Baseline, SchemeKind::Lazy, SchemeKind::Scue];
-        let serial = campaign_with_jobs(&cfg, 4, &schemes, 1);
+        let attack = Attack { cfg, points: 4 };
+        let serial = campaign::run(&attack, &schemes, 1);
         assert_eq!(serial.total_violations(), 0, "{:?}", serial.violations);
         let rendered = serial.to_json().render_doc();
         for jobs in [3, 5] {
-            let parallel = campaign_with_jobs(&cfg, 4, &schemes, jobs)
+            let parallel = campaign::run(&attack, &schemes, jobs)
                 .to_json()
                 .render_doc();
             assert_eq!(parallel, rendered, "jobs={jobs}");
@@ -1137,12 +927,12 @@ mod tests {
         for tally in &serial.tallies {
             if tally.scheme.policy().is_secure() {
                 assert!(
-                    !tally.latency.is_empty(),
+                    !tally.sums.latency.is_empty(),
                     "{}: no online detections",
                     tally.scheme
                 );
             } else {
-                assert!(tally.latency.is_empty());
+                assert!(tally.sums.latency.is_empty());
             }
         }
     }
@@ -1150,16 +940,14 @@ mod tests {
     #[test]
     fn document_is_versioned_and_outcomes_partition_cases() {
         let cfg = quick_cfg();
-        let report = campaign(&cfg, 4, &[SchemeKind::Scue, SchemeKind::Baseline]);
+        let attack = Attack { cfg, points: 4 };
+        let report = campaign::run(&attack, &[SchemeKind::Scue, SchemeKind::Baseline], 1);
         let doc = Json::parse(&report.to_json().render_doc()).unwrap();
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_u64),
-            Some(ATTACK_SCHEMA_VERSION)
+            Some(Attack::SCHEMA_VERSION)
         );
-        assert_eq!(
-            doc.get("kind").and_then(Json::as_str),
-            Some(ATTACK_DOC_KIND)
-        );
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some(Attack::KIND));
         for s in doc.get("schemes").and_then(Json::as_arr).unwrap() {
             let cases = s.get("cases").and_then(Json::as_u64).unwrap();
             let outcomes = s.get("outcomes").unwrap();

@@ -15,6 +15,9 @@
 //!             [--replay scheme:attack:ops:inject_at]
 //! ```
 //!
+//! `--ops` is at least 2, so every sampled injection point lands inside
+//! the op stream.
+//!
 //! `--jobs` (default: available parallelism, overridable via the
 //! `SCUE_JOBS` environment variable) fans the campaign's attack cases
 //! out over worker threads. The campaign report — and the `--json`
@@ -25,7 +28,8 @@
 //! replay), 2 on usage errors.
 
 use scue::SchemeKind;
-use scue_sim::attack::{self, AttackConfig, AttackSpec};
+use scue_sim::attack::{Attack, AttackConfig, AttackSpec};
+use scue_sim::campaign;
 use scue_sim::cli::{self, Flags};
 use std::process::ExitCode;
 
@@ -64,7 +68,7 @@ fn parse_args_from(
         match flag.as_str() {
             "--seed" => cfg.seed = flags.parse(&flag)?,
             "--points" => points = flags.parse(&flag)?,
-            "--ops" => cfg.ops = flags.parse(&flag)?,
+            "--ops" => cfg.ops = flags.parse_if(&flag, |&ops| ops >= 2)?,
             "--drive" => cfg.drive_ops = flags.parse(&flag)?,
             "--scheme" => schemes = vec![flags.scheme(&flag)?],
             "--jobs" => jobs = Some(flags.positive(&flag)?),
@@ -83,109 +87,24 @@ fn parse_args_from(
     })
 }
 
-/// Re-runs one attack case and reports the oracle's verdict. Malformed
-/// specs are diagnosed field by field on stderr.
-fn replay(spec: &str, cfg: &AttackConfig) -> ExitCode {
-    let (scheme, case) = match AttackSpec::diagnose_replay(spec) {
-        Ok(parsed) => parsed,
-        Err(why) => cli::usage_exit(BIN, &usage(), &why),
-    };
-    let result = attack::run_attack_case(scheme, cfg, case);
-    println!(
-        "replay {scheme} attack={} ops={} inject_at={}: {} (mutated={}{})",
-        case.attack.name(),
-        case.ops,
-        case.inject_at,
-        result.class.name(),
-        result.mutated,
-        match result.latency {
-            Some(l) => format!(", latency={l}"),
-            None => String::new(),
-        },
-    );
-    if !result.detail.is_empty() {
-        println!("  detail: {}", result.detail);
-    }
-    match attack::oracle(scheme, case, &result) {
-        Ok(()) => {
-            println!("  oracle: ok");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            println!("  oracle: VIOLATION — {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args = cli::parse_or_exit(BIN, &usage(), parse_args_from);
+    let attack = Attack {
+        cfg: args.cfg,
+        points: args.points,
+    };
     if let Some(spec) = &args.replay {
-        return replay(spec, &args.cfg);
+        let (scheme, case) = AttackSpec::diagnose_replay(spec)
+            .unwrap_or_else(|why| cli::usage_exit(BIN, &usage(), &why));
+        return campaign::replay(&attack, scheme, case);
     }
-
-    let started = std::time::Instant::now();
-    let report = attack::campaign_with_jobs(&args.cfg, args.points, &args.schemes, args.jobs);
-    let wall_ms = started.elapsed().as_millis() as u64;
-    for tally in &report.tallies {
-        let outcomes: Vec<String> = tally
-            .outcomes
-            .iter()
-            .map(|(class, n)| format!("{}={n}", class.name()))
-            .collect();
-        let latency = if tally.latency.is_empty() {
-            "latency=none".to_string()
-        } else {
-            format!(
-                "latency(n={} mean={:.1} max={})",
-                tally.latency.count(),
-                tally.latency.mean(),
-                tally.latency.max(),
-            )
-        };
-        println!(
-            "{:<10} cases={} mutated={} violations={} {} [{}]",
-            tally.scheme.to_string(),
-            tally.cases,
-            tally.mutated,
-            tally.violations,
-            latency,
-            outcomes.join(" "),
-        );
-    }
-    for v in &report.violations {
-        eprintln!(
-            "VIOLATION {}: {} (shrunk {} steps / {} evals)",
-            v.scheme, v.message, v.shrink_steps, v.evals
-        );
-        eprintln!("  replay: {}", v.replay_command(&args.cfg));
-    }
-    println!("campaign wall-clock: {wall_ms} ms at --jobs {}", args.jobs);
-
-    if let Some(path) = &args.json_path {
-        // The campaign payload is byte-identical at any job count; the
-        // run's provenance rides in a trailing object so tooling can
-        // strip it before diffing (see scripts/verify.sh).
-        let mut doc = report.to_json();
-        doc.set("provenance", cli::provenance(args.jobs, wall_ms));
-        if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("{BIN}: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if report.total_violations() > 0 {
-        eprintln!("{} oracle violation(s)", report.total_violations());
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "oracle clean: {} schemes × {} points",
-            report.tallies.len(),
-            args.points
-        );
-        ExitCode::SUCCESS
-    }
+    campaign::main(
+        BIN,
+        &attack,
+        &args.schemes,
+        args.jobs,
+        args.json_path.as_deref(),
+    )
 }
 
 #[cfg(test)]
@@ -255,6 +174,8 @@ mod tests {
             (vec!["--seed", "x"], "--seed", "x"),
             (vec!["--points", "-1"], "--points", "-1"),
             (vec!["--ops", "1.5"], "--ops", "1.5"),
+            (vec!["--ops", "0"], "--ops", "0"),
+            (vec!["--ops", "1"], "--ops", "1"),
             (vec!["--drive", "soon"], "--drive", "soon"),
             (vec!["--scheme", "mercury"], "--scheme", "mercury"),
         ] {

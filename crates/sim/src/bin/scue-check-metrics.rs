@@ -40,13 +40,14 @@
 //! at most 35% + 20 ns. Prints the first violation and exits 1.
 
 use scue::SchemeKind;
-use scue_sim::attack::{AttackClass, AttackKind};
+use scue_sim::attack::{Attack, AttackClass, AttackKind};
+use scue_sim::campaign::{self, Campaign};
+use scue_sim::crashtest::Crashtest;
 use scue_sim::mc::{Verdict, WITNESS_CAP};
-use scue_sim::torture::CaseClass;
+use scue_sim::torture::{CaseClass, Torture};
 use scue_sim::{
-    ATTACK_DOC_KIND, ATTACK_SCHEMA_VERSION, CRASHTEST_DOC_KIND, CRASHTEST_SCHEMA_VERSION,
     MC_DOC_KIND, MC_SCHEMA_VERSION, METRICS_SCHEMA_VERSION, PROFILE_DOC_KIND,
-    PROFILE_SCHEMA_VERSION, TORTURE_DOC_KIND, TORTURE_SCHEMA_VERSION,
+    PROFILE_SCHEMA_VERSION,
 };
 use scue_util::obs::Json;
 
@@ -216,23 +217,23 @@ fn tallies(entry: &Json, ctx: &str, classes: &[&str]) -> Result<Vec<u64>, String
 }
 
 /// The checks every campaign document (torture, attack, crashtest)
-/// shares: its schema `version`; the integer `seed`,
+/// shares: its campaign's schema version; the integer `seed`,
 /// `total_violations` and `keys`; a non-empty `schemes` list whose
-/// outcome tallies over `classes` partition each scheme's cases, whose
-/// per-scheme violation counts sum to `total_violations`, and which
-/// passes the kind's own `per_scheme` rules (given the entry, its name,
-/// case count and tallies); a violation list of that total length whose
-/// entries carry the string `violation_keys` (a `replay` must be a
-/// `--replay` command); and the optional provenance.
-fn check_campaign(
+/// outcome tallies over the campaign's classes partition each scheme's
+/// cases, whose per-scheme violation counts sum to `total_violations`,
+/// and which passes the kind's own `per_scheme` rules (given the entry,
+/// its name, case count and tallies); a violation list of that total
+/// length whose entries each carry the strings `scheme`, `message` and
+/// `violation_keys` (a `replay` must be a `--replay` command); and the
+/// optional provenance.
+fn check_campaign<C: Campaign>(
     doc: &Json,
-    version: u64,
     keys: &[&str],
-    classes: &[&str],
     violation_keys: &[&str],
     mut per_scheme: impl FnMut(&Json, &str, u64, &[u64]) -> Result<(), String>,
 ) -> Result<(), String> {
-    schema(doc, version)?;
+    schema(doc, C::SCHEMA_VERSION)?;
+    let classes = campaign::class_names::<C>();
     for key in ["seed", "total_violations"].iter().chain(keys) {
         int(doc, "", key)?;
     }
@@ -240,7 +241,7 @@ fn check_campaign(
     for entry in array(doc, "", "schemes")? {
         let name = string(entry, "scheme entry", "scheme")?;
         let cases = int(entry, name, "cases")?;
-        let outcomes = tallies(entry, name, classes)?;
+        let outcomes = tallies(entry, name, &classes)?;
         let sum: u64 = outcomes.iter().sum();
         if sum != cases {
             return Err(format!(
@@ -267,7 +268,7 @@ fn check_campaign(
         ));
     }
     for v in listed {
-        for &key in violation_keys {
+        for &key in ["scheme", "message"].iter().chain(violation_keys) {
             let value = string(v, "violation entry", key)?;
             if key == "replay" && !value.contains("--replay") {
                 return Err("violation entry without a usable `replay` command".to_string());
@@ -279,17 +280,14 @@ fn check_campaign(
 
 /// Validates a `scue-torture` campaign document.
 fn check_torture(doc: &Json) -> Result<(), String> {
-    let classes = CaseClass::ALL.map(CaseClass::name);
-    let repaired = CaseClass::ALL
+    let repaired = Torture::CLASSES
         .iter()
         .position(|&c| c == CaseClass::RepairedCounter)
         .expect("repaired_counter is a case class");
-    check_campaign(
+    check_campaign::<Torture>(
         doc,
-        TORTURE_SCHEMA_VERSION,
         &["points", "ops"],
-        &classes,
-        &["replay"],
+        &["fault", "replay"],
         |entry, name, _, outcomes| {
             // Every repaired_counter case repairs at least one leaf, so
             // the repaired-leaf total must cover the outcome count.
@@ -312,23 +310,21 @@ fn check_torture(doc: &Json) -> Result<(), String> {
 /// detections, and Baseline never detects (silent corruption there is
 /// the expected Table I outcome, asserted).
 fn check_attack(doc: &Json) -> Result<(), String> {
-    let classes = AttackClass::ALL.map(AttackClass::name);
+    let classes = campaign::class_names::<Attack>();
     let class_index = |class| {
-        AttackClass::ALL
+        Attack::CLASSES
             .iter()
             .position(|&c| c == class)
-            .expect("every class is in AttackClass::ALL")
+            .expect("every class is in the attack campaign's classes")
     };
     let (online, noop) = (
         class_index(AttackClass::DetectedOnline),
         class_index(AttackClass::UndetectedNoop),
     );
-    check_campaign(
+    check_campaign::<Attack>(
         doc,
-        ATTACK_SCHEMA_VERSION,
         &["points", "ops", "drive_ops"],
-        &classes,
-        &["scheme", "attack", "message", "replay"],
+        &["attack", "replay"],
         |entry, name, cases, outcomes| {
             let mutated = int(entry, name, "mutated")?;
             if mutated > cases {
@@ -383,7 +379,7 @@ fn check_attack(doc: &Json) -> Result<(), String> {
             // modelling bug, and with effective tampers it must show the
             // silent corruption the paper's Table I predicts.
             if !scheme_named(name)?.policy().is_secure() {
-                let detections: u64 = AttackClass::ALL
+                let detections: u64 = Attack::CLASSES
                     .iter()
                     .zip(outcomes)
                     .filter(|(c, _)| c.is_detection())
@@ -407,14 +403,11 @@ fn check_attack(doc: &Json) -> Result<(), String> {
 
 /// Validates a `scue-crashtest` real-process kill campaign document.
 fn check_crashtest(doc: &Json) -> Result<(), String> {
-    let classes = CaseClass::ALL.map(CaseClass::name);
     let mut fallback_sum = 0;
-    check_campaign(
+    check_campaign::<Crashtest>(
         doc,
-        CRASHTEST_SCHEMA_VERSION,
         &["kills", "epochs", "ops_per_epoch", "total_fallbacks"],
-        &classes,
-        &["scheme", "fault", "message"],
+        &["fault"],
         |entry, name, cases, _| {
             // Open errors and slot fallbacks are per-case flags, so
             // neither count can exceed the case count.
@@ -811,12 +804,12 @@ fn main() {
     let kind = doc.get("kind").and_then(Json::as_str).unwrap_or("");
     let (checked, label, version) = if doc.get("traceEvents").is_some() {
         (check_chrome(&doc), CHROME_DOC_KIND, PROFILE_SCHEMA_VERSION)
-    } else if kind == TORTURE_DOC_KIND {
-        (check_torture(&doc), kind, TORTURE_SCHEMA_VERSION)
-    } else if kind == ATTACK_DOC_KIND {
-        (check_attack(&doc), kind, ATTACK_SCHEMA_VERSION)
-    } else if kind == CRASHTEST_DOC_KIND {
-        (check_crashtest(&doc), kind, CRASHTEST_SCHEMA_VERSION)
+    } else if kind == Torture::KIND {
+        (check_torture(&doc), kind, Torture::SCHEMA_VERSION)
+    } else if kind == Attack::KIND {
+        (check_attack(&doc), kind, Attack::SCHEMA_VERSION)
+    } else if kind == Crashtest::KIND {
+        (check_crashtest(&doc), kind, Crashtest::SCHEMA_VERSION)
     } else if kind == MC_DOC_KIND {
         (check_mc(&doc), kind, MC_SCHEMA_VERSION)
     } else if kind == PROFILE_DOC_KIND {
@@ -844,17 +837,52 @@ fn main() {
 mod tests {
     use super::*;
     use scue::SchemeKind;
-    use scue_sim::torture::{self, TortureConfig};
+    use scue_sim::torture::TortureConfig;
+
+    fn torture_doc(cfg: TortureConfig, schemes: &[SchemeKind]) -> Json {
+        campaign::run(&Torture { cfg, points: 7 }, schemes, 1).to_json()
+    }
 
     fn campaign_doc() -> Json {
         let cfg = TortureConfig {
             seed: 7,
             ops: 60,
-            eadr: false,
-            strict_baseline: false,
-            strict_windows: false,
+            ..TortureConfig::default()
         };
-        torture::campaign(&cfg, 7, &[SchemeKind::Scue, SchemeKind::Baseline]).to_json()
+        torture_doc(cfg, &[SchemeKind::Scue, SchemeKind::Baseline])
+    }
+
+    #[test]
+    fn violation_entries_must_carry_scheme_message_and_replay() {
+        // `--strict-baseline` holds Baseline to the secure oracle, so the
+        // document lists shrunk violations.
+        let cfg = TortureConfig {
+            seed: 3,
+            ops: 60,
+            strict_baseline: true,
+            ..TortureConfig::default()
+        };
+        let doc = torture_doc(cfg, &[SchemeKind::Baseline]);
+        check_torture(&doc).unwrap();
+        let Some(Json::Arr(listed)) = doc.get("violations").cloned() else {
+            panic!("violations is an array");
+        };
+        assert!(!listed.is_empty(), "strict Baseline must violate");
+        for key in ["scheme", "message", "fault", "replay"] {
+            let stripped = listed
+                .iter()
+                .map(|v| match v {
+                    Json::Obj(fields) => {
+                        Json::Obj(fields.iter().filter(|(k, _)| k != key).cloned().collect())
+                    }
+                    other => other.clone(),
+                })
+                .collect();
+            let mut doc = doc.clone();
+            doc.set("violations", Json::Arr(stripped));
+            let err = check_torture(&doc).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{key}: {err}");
+        }
     }
 
     #[test]
@@ -906,8 +934,8 @@ mod tests {
             .with("history_dropped", Json::U64(0))
             .with("oracle_violations", Json::U64(0));
         Json::obj()
-            .with("schema_version", Json::U64(TORTURE_SCHEMA_VERSION))
-            .with("kind", Json::Str(TORTURE_DOC_KIND.into()))
+            .with("schema_version", Json::U64(Torture::SCHEMA_VERSION))
+            .with("kind", Json::Str(Torture::KIND.into()))
             .with("seed", Json::U64(1))
             .with("points", Json::U64(1))
             .with("ops", Json::U64(1))
@@ -932,8 +960,8 @@ mod tests {
             .with("outcomes", outcomes)
             .with("oracle_violations", Json::U64(0));
         Json::obj()
-            .with("schema_version", Json::U64(CRASHTEST_SCHEMA_VERSION))
-            .with("kind", Json::Str(CRASHTEST_DOC_KIND.into()))
+            .with("schema_version", Json::U64(Crashtest::SCHEMA_VERSION))
+            .with("kind", Json::Str(Crashtest::KIND.into()))
             .with("seed", Json::U64(1))
             .with("kills", Json::U64(3))
             .with("epochs", Json::U64(4))
@@ -1236,13 +1264,14 @@ mod tests {
     }
 
     fn attack_doc() -> Json {
-        use scue_sim::attack::{self, AttackConfig};
+        use scue_sim::attack::AttackConfig;
         let cfg = AttackConfig {
             seed: 5,
             ops: 48,
             drive_ops: 120,
         };
-        attack::campaign(&cfg, 4, &[SchemeKind::Scue, SchemeKind::Baseline]).to_json()
+        let schemes = [SchemeKind::Scue, SchemeKind::Baseline];
+        campaign::run(&Attack { cfg, points: 4 }, &schemes, 1).to_json()
     }
 
     #[test]
@@ -1317,8 +1346,8 @@ mod tests {
             .with("detection_latency", latency)
             .with("oracle_violations", Json::U64(0));
         Json::obj()
-            .with("schema_version", Json::U64(ATTACK_SCHEMA_VERSION))
-            .with("kind", Json::Str(ATTACK_DOC_KIND.into()))
+            .with("schema_version", Json::U64(Attack::SCHEMA_VERSION))
+            .with("kind", Json::Str(Attack::KIND.into()))
             .with("seed", Json::U64(1))
             .with("points", Json::U64(cases))
             .with("ops", Json::U64(8))

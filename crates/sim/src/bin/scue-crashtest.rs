@@ -18,8 +18,9 @@
 //! the chance).
 
 use scue::SchemeKind;
+use scue_sim::campaign;
 use scue_sim::cli::{self, Flags};
-use scue_sim::crashtest::{self, CrashtestConfig};
+use scue_sim::crashtest::{self, Crashtest, CrashtestConfig};
 use std::process::ExitCode;
 
 const BIN: &str = "scue-crashtest";
@@ -130,60 +131,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let started = std::time::Instant::now();
-    let report = crashtest::campaign_with_jobs(&exe, &args.cfg, &args.schemes, args.jobs);
-    let wall_ms = started.elapsed().as_millis() as u64;
-    for tally in &report.tallies {
-        let outcomes: Vec<String> = tally
-            .outcomes
-            .iter()
-            .map(|(class, n)| format!("{}={n}", class.name()))
-            .collect();
-        println!(
-            "{:<10} cases={} faults_applied={} open_errors={} fallbacks={} violations={} [{}]",
-            tally.scheme.to_string(),
-            tally.cases,
-            tally.faults_applied,
-            tally.open_errors,
-            tally.fallbacks,
-            tally.violations,
-            outcomes.join(" "),
-        );
-    }
-    for v in &report.violations {
-        eprintln!(
-            "VIOLATION {} case {} (kill_epoch={}, fault={}): {}",
-            v.scheme,
-            v.index,
-            v.kill_epoch,
-            v.fault.name(),
-            v.message
-        );
-    }
-    println!("campaign wall-clock: {wall_ms} ms at --jobs {}", args.jobs);
-
-    if let Some(path) = &args.json_path {
-        let mut doc = report.to_json();
-        doc.set("provenance", cli::provenance(args.jobs, wall_ms));
-        if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("{BIN}: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if report.total_violations() > 0 {
-        eprintln!("{} oracle violation(s)", report.total_violations());
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "oracle clean: {} schemes × {} kills, {} slot fallbacks",
-            report.tallies.len(),
-            args.cfg.kills,
-            report.total_fallbacks()
-        );
-        ExitCode::SUCCESS
-    }
+    campaign::main(
+        BIN,
+        &Crashtest { cfg: args.cfg, exe },
+        &args.schemes,
+        args.jobs,
+        args.json_path.as_deref(),
+    )
 }
 
 #[cfg(test)]

@@ -24,8 +24,9 @@
 //! replay), 2 on usage errors.
 
 use scue::SchemeKind;
+use scue_sim::campaign;
 use scue_sim::cli::{self, Flags};
-use scue_sim::torture::{self, CaseSpec, TortureConfig};
+use scue_sim::torture::{CaseSpec, Torture, TortureConfig};
 use std::process::ExitCode;
 
 const BIN: &str = "scue-torture";
@@ -85,105 +86,24 @@ fn parse_args_from(
     })
 }
 
-/// Re-runs one minimised case and reports the oracle's verdict.
-/// Malformed specs are diagnosed field by field on stderr.
-fn replay(spec: &str, cfg: &TortureConfig) -> ExitCode {
-    let (scheme, case) = match CaseSpec::diagnose_replay(spec) {
-        Ok(parsed) => parsed,
-        Err(why) => cli::usage_exit(BIN, &usage(), &why),
-    };
-    let result = torture::run_case(scheme, cfg, case);
-    println!(
-        "replay {scheme} ops={} crash_at={} fault={}: {} (fault_applied={}, repaired_leaves={})",
-        case.ops,
-        case.crash_at,
-        case.fault.name(),
-        result.class.name(),
-        result.fault_applied,
-        result.repaired_leaves,
-    );
-    if !result.detail.is_empty() {
-        println!("  detail: {}", result.detail);
-    }
-    match torture::oracle(scheme, cfg, &result) {
-        Ok(()) => {
-            println!("  oracle: ok");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            println!("  oracle: VIOLATION — {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args = cli::parse_or_exit(BIN, &usage(), parse_args_from);
+    let torture = Torture {
+        cfg: args.cfg,
+        points: args.points,
+    };
     if let Some(spec) = &args.replay {
-        return replay(spec, &args.cfg);
+        let (scheme, case) = CaseSpec::diagnose_replay(spec)
+            .unwrap_or_else(|why| cli::usage_exit(BIN, &usage(), &why));
+        return campaign::replay(&torture, scheme, case);
     }
-
-    let started = std::time::Instant::now();
-    let report = torture::campaign_with_jobs(&args.cfg, args.points, &args.schemes, args.jobs);
-    let wall_ms = started.elapsed().as_millis() as u64;
-    for tally in &report.tallies {
-        let outcomes: Vec<String> = tally
-            .outcomes
-            .iter()
-            .map(|(class, n)| format!("{}={n}", class.name()))
-            .collect();
-        println!(
-            "{:<10} cases={} faults_applied={} repaired_leaves={} violations={} [{}]",
-            tally.scheme.to_string(),
-            tally.cases,
-            tally.faults_applied,
-            tally.repaired_leaves,
-            tally.violations,
-            outcomes.join(" "),
-        );
-    }
-    for tally in &report.tallies {
-        if tally.history_dropped > 0 {
-            eprintln!(
-                "warning: {}: store history journal dropped {} pre-images \
-                 (raise the cap if fault fidelity matters)",
-                tally.scheme, tally.history_dropped
-            );
-        }
-    }
-    for v in &report.violations {
-        eprintln!(
-            "VIOLATION {}: {} (shrunk {} steps / {} evals)",
-            v.scheme, v.message, v.shrink_steps, v.evals
-        );
-        eprintln!("  replay: {}", v.replay_command(&args.cfg));
-    }
-    println!("campaign wall-clock: {wall_ms} ms at --jobs {}", args.jobs);
-
-    if let Some(path) = &args.json_path {
-        // The campaign payload is byte-identical at any job count; the
-        // run's provenance rides in a trailing object so tooling can
-        // strip it before diffing (see scripts/verify.sh).
-        let mut doc = report.to_json();
-        doc.set("provenance", cli::provenance(args.jobs, wall_ms));
-        if let Err(e) = std::fs::write(path, doc.render_doc()) {
-            eprintln!("{BIN}: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if report.total_violations() > 0 {
-        eprintln!("{} oracle violation(s)", report.total_violations());
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "oracle clean: {} schemes × {} points",
-            report.tallies.len(),
-            args.points
-        );
-        ExitCode::SUCCESS
-    }
+    campaign::main(
+        BIN,
+        &torture,
+        &args.schemes,
+        args.jobs,
+        args.json_path.as_deref(),
+    )
 }
 
 #[cfg(test)]

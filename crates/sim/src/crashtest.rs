@@ -23,24 +23,19 @@
 //! (each generation covers exactly `epoch × ops_per_epoch` ops of the
 //! seeded stream), so every race outcome is audited exactly — the
 //! pass/fail verdict is deterministic even though individual tallies
-//! can differ run to run.
+//! can differ run to run. The same race is why [`Crashtest`] runs
+//! through [`crate::campaign`] without shrinking or replay.
 
+use crate::campaign::{Campaign, Report, Tally};
 use crate::torture::{self, op_at, CaseClass, CaseResult, TortureConfig};
 use scue::{SchemeKind, SecureMemConfig, SecureMemory};
 use scue_nvm::{apply_durable, DurableFault};
 use scue_util::obs::Json;
-use scue_util::par;
 use scue_util::rng::SplitMix64;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-
-/// Version stamped into every crashtest JSON document.
-pub const CRASHTEST_SCHEMA_VERSION: u64 = 1;
-
-/// Document kind tag distinguishing crashtest output from other reports.
-pub const CRASHTEST_DOC_KIND: &str = "scue-crashtest";
 
 /// Campaign-wide knobs.
 #[derive(Debug, Clone)]
@@ -71,7 +66,7 @@ impl Default for CrashtestConfig {
 
 /// Which durable fault (if any) the parent injects between the kill and
 /// the reopen. Mirrors [`DurableFault`] minus the sampled parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DurableFaultKind {
     /// Clean kill: the CoW protocol alone must hold.
     None,
@@ -138,8 +133,10 @@ impl DurableFaultKind {
 }
 
 /// One sampled kill case.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct KillCase {
+    /// Case index within the scheme (names the case's image file).
+    pub index: usize,
     /// Kill after observing this many committed epochs (0 = right after
     /// the base checkpoint; `epochs` = let the child finish — clean
     /// shutdown is a crash point too).
@@ -207,22 +204,50 @@ pub fn run_child(
 // The parent
 // ----------------------------------------------------------------------
 
+/// The real-kill campaign: `cfg.kills` cases per scheme, each against
+/// its own image file. `exe` is the `scue-crashtest` binary itself (the
+/// child is the same executable re-entered with `--child`).
+#[derive(Debug, Clone)]
+pub struct Crashtest {
+    /// Configuration in force.
+    pub cfg: CrashtestConfig,
+    /// The executable spawned as the child.
+    pub exe: PathBuf,
+}
+
 /// What one case reduced to, before the oracle.
 #[derive(Debug, Clone)]
-struct CrashOutcome {
-    scheme: SchemeKind,
-    case: KillCase,
-    index: usize,
+pub struct CrashOutcome {
     /// Torture-compatible classification (open errors use
     /// [`CaseClass::DetectedAtRecovery`] but are oracle-checked by the
-    /// storage rule below, not the scheme rule).
-    class: CaseClass,
-    fault_applied: bool,
+    /// storage rule, not the scheme rule).
+    pub class: CaseClass,
+    /// Whether the injected fault changed the image.
+    pub fault_applied: bool,
     /// The image failed to open (typed degradation, never a panic).
-    open_error: bool,
+    pub open_error: bool,
     /// Open fell back past a damaged newest slot.
-    fell_back: bool,
-    detail: String,
+    pub fell_back: bool,
+    /// Human-readable detail (first anomaly seen).
+    pub detail: String,
+}
+
+/// Per-scheme crashtest sums.
+#[derive(Debug, Clone, Default)]
+pub struct CrashSums {
+    /// Cases whose injected fault actually changed the image.
+    pub faults_applied: u64,
+    /// Cases where the image refused to open (typed degradation).
+    pub open_errors: u64,
+    /// Cases where open fell back past a damaged newest slot.
+    pub fallbacks: u64,
+}
+
+impl Report<Crashtest> {
+    /// Total slot fallbacks observed across all schemes.
+    pub fn total_fallbacks(&self) -> u64 {
+        self.tallies.iter().map(|t| t.sums.fallbacks).sum()
+    }
 }
 
 /// The crashtest oracle. Storage-layer open failures are scheme
@@ -234,14 +259,18 @@ struct CrashOutcome {
 ///   whole point of CoW checkpoints is that a kill alone never loses
 ///   the image);
 /// * opened images fall through to [`torture::oracle`].
-fn crash_oracle(cfg: &CrashtestConfig, outcome: &CrashOutcome) -> Result<(), String> {
+fn crash_oracle(
+    cfg: &CrashtestConfig,
+    scheme: SchemeKind,
+    outcome: &CrashOutcome,
+) -> Result<(), String> {
     if outcome.open_error {
         return if outcome.fault_applied {
             Ok(())
         } else {
             Err(format!(
-                "{}: image failed to open after a clean kill ({})",
-                outcome.scheme, outcome.detail
+                "{scheme}: image failed to open after a clean kill ({})",
+                outcome.detail
             ))
         };
     }
@@ -259,26 +288,7 @@ fn crash_oracle(cfg: &CrashtestConfig, outcome: &CrashOutcome) -> Result<(), Str
         history_dropped: 0,
         detail: outcome.detail.clone(),
     };
-    torture::oracle(outcome.scheme, &tcfg, &result)
-}
-
-/// Samples the kill cases for one scheme. Fallback-forcing faults pin
-/// the kill at (or past) the first epoch so the previous slot always
-/// holds a real checkpoint to fall back to — which is what makes the
-/// verify gate's `total_fallbacks ≥ 1` assertion deterministic.
-fn sample_cases(scheme: SchemeKind, cfg: &CrashtestConfig) -> Vec<KillCase> {
-    let mut rng =
-        SplitMix64::new(cfg.seed ^ (scheme as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F));
-    (0..cfg.kills)
-        .map(|i| {
-            let fault = DurableFaultKind::ALL[i % DurableFaultKind::ALL.len()];
-            let mut kill_epoch = (rng.next_u64() % (cfg.epochs as u64 + 1)) as usize;
-            if fault.forces_fallback() {
-                kill_epoch = kill_epoch.clamp(1, cfg.epochs);
-            }
-            KillCase { kill_epoch, fault }
-        })
-        .collect()
+    torture::oracle(scheme, &tcfg, &result)
 }
 
 /// Spawns, observes, kills and reaps one child; returns the base
@@ -337,18 +347,14 @@ fn kill_child_at_epoch(
 
 /// Runs one full case: spawn → kill → damage → reopen → recover →
 /// audit → resume.
-fn run_case(
-    exe: &Path,
-    scheme: SchemeKind,
-    cfg: &CrashtestConfig,
-    index: usize,
-    case: KillCase,
-) -> CrashOutcome {
-    let image = cfg
-        .dir
-        .join(format!("scue-crash-{}-{index}.img", scheme.policy().token));
+fn run_case(exe: &Path, scheme: SchemeKind, cfg: &CrashtestConfig, case: KillCase) -> CrashOutcome {
+    let image = cfg.dir.join(format!(
+        "scue-crash-{}-{}.img",
+        scheme.policy().token,
+        case.index
+    ));
     let _ = std::fs::remove_file(&image);
-    let outcome = run_case_at(exe, scheme, cfg, index, case, &image);
+    let outcome = run_case_at(exe, scheme, cfg, case, &image);
     let _ = std::fs::remove_file(&image);
     outcome
 }
@@ -357,14 +363,10 @@ fn run_case_at(
     exe: &Path,
     scheme: SchemeKind,
     cfg: &CrashtestConfig,
-    index: usize,
     case: KillCase,
     image: &Path,
 ) -> CrashOutcome {
     let fail = |detail: String| CrashOutcome {
-        scheme,
-        case,
-        index,
         class: CaseClass::ResumeFailure,
         fault_applied: false,
         open_error: false,
@@ -380,7 +382,9 @@ fn run_case_at(
 
     // Damage the dead child's image the way real media would.
     let mut rng = SplitMix64::new(
-        cfg.seed ^ (index as u64 + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB) ^ (scheme as u64) << 32,
+        cfg.seed
+            ^ (case.index as u64 + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB)
+            ^ (scheme as u64) << 32,
     );
     let fault_applied = match case.fault.build(&mut rng) {
         None => false,
@@ -395,9 +399,6 @@ fn run_case_at(
         Ok(mem) => mem,
         Err(e) => {
             return CrashOutcome {
-                scheme,
-                case,
-                index,
                 class: CaseClass::DetectedAtRecovery,
                 fault_applied,
                 open_error: true,
@@ -426,9 +427,6 @@ fn run_case_at(
 
     let result = torture::audit(&mut mem, scheme, &shadow, fault_applied);
     CrashOutcome {
-        scheme,
-        case,
-        index,
         class: result.class,
         fault_applied,
         open_error: false,
@@ -437,237 +435,151 @@ fn run_case_at(
     }
 }
 
-// ----------------------------------------------------------------------
-// Campaign + report
-// ----------------------------------------------------------------------
+impl Campaign for Crashtest {
+    type Case = KillCase;
+    type Class = CaseClass;
+    type Result = CrashOutcome;
+    type Sums = CrashSums;
 
-/// One oracle violation, with everything needed to rerun the case.
-#[derive(Debug, Clone)]
-pub struct CrashViolation {
-    /// The scheme that violated.
-    pub scheme: SchemeKind,
-    /// Case index within the scheme.
-    pub index: usize,
-    /// Sampled kill epoch.
-    pub kill_epoch: usize,
-    /// Injected fault kind.
-    pub fault: DurableFaultKind,
-    /// The oracle's complaint.
-    pub message: String,
-}
+    const KIND: &'static str = "scue-crashtest";
+    const SCHEMA_VERSION: u64 = 1;
+    const CLASSES: &'static [CaseClass] = &CaseClass::ALL;
 
-/// Per-scheme campaign tally.
-#[derive(Debug, Clone)]
-pub struct CrashTally {
-    /// The scheme.
-    pub scheme: SchemeKind,
-    /// Cases run.
-    pub cases: u64,
-    /// Cases whose injected fault actually changed the image.
-    pub faults_applied: u64,
-    /// Cases where the image refused to open (typed degradation).
-    pub open_errors: u64,
-    /// Cases where open fell back past a damaged newest slot.
-    pub fallbacks: u64,
-    /// Outcome histogram, keyed in [`CaseClass::ALL`] order.
-    pub outcomes: BTreeMap<CaseClass, u64>,
-    /// Oracle violations among these cases.
-    pub violations: u64,
-}
-
-impl CrashTally {
-    fn empty(scheme: SchemeKind) -> Self {
-        CrashTally {
-            scheme,
-            cases: 0,
-            faults_applied: 0,
-            open_errors: 0,
-            fallbacks: 0,
-            outcomes: BTreeMap::new(),
-            violations: 0,
-        }
-    }
-}
-
-/// A full crash campaign's results.
-#[derive(Debug, Clone)]
-pub struct CrashtestReport {
-    /// Configuration in force.
-    pub config: CrashtestConfig,
-    /// Per-scheme tallies.
-    pub tallies: Vec<CrashTally>,
-    /// Oracle violations (empty on a healthy campaign).
-    pub violations: Vec<CrashViolation>,
-}
-
-impl CrashtestReport {
-    /// Total oracle violations across all schemes.
-    pub fn total_violations(&self) -> u64 {
-        self.tallies.iter().map(|t| t.violations).sum()
+    fn class_name(class: CaseClass) -> &'static str {
+        class.name()
     }
 
-    /// Total slot fallbacks observed across all schemes.
-    pub fn total_fallbacks(&self) -> u64 {
-        self.tallies.iter().map(|t| t.fallbacks).sum()
-    }
-
-    /// The campaign as a versioned JSON document.
-    pub fn to_json(&self) -> Json {
-        let schemes = self
-            .tallies
-            .iter()
-            .map(|t| {
-                let mut outcomes = Json::obj();
-                for class in CaseClass::ALL {
-                    outcomes.set(
-                        class.name(),
-                        Json::U64(t.outcomes.get(&class).copied().unwrap_or(0)),
-                    );
+    /// Fallback-forcing faults pin the kill at (or past) the first epoch
+    /// so the previous slot always holds a real checkpoint to fall back
+    /// to — which is what makes the verify gate's `total_fallbacks ≥ 1`
+    /// assertion deterministic.
+    fn sample(&self, scheme: SchemeKind) -> Vec<KillCase> {
+        let cfg = &self.cfg;
+        let mut rng =
+            SplitMix64::new(cfg.seed ^ (scheme as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F));
+        (0..cfg.kills)
+            .map(|index| {
+                let fault = DurableFaultKind::ALL[index % DurableFaultKind::ALL.len()];
+                let mut kill_epoch = (rng.next_u64() % (cfg.epochs as u64 + 1)) as usize;
+                if fault.forces_fallback() {
+                    kill_epoch = kill_epoch.clamp(1, cfg.epochs);
                 }
-                Json::obj()
-                    .with("scheme", Json::Str(t.scheme.to_string()))
-                    .with("cases", Json::U64(t.cases))
-                    .with("faults_applied", Json::U64(t.faults_applied))
-                    .with("open_errors", Json::U64(t.open_errors))
-                    .with("fallbacks", Json::U64(t.fallbacks))
-                    .with("outcomes", outcomes)
-                    .with("oracle_violations", Json::U64(t.violations))
+                KillCase {
+                    index,
+                    kill_epoch,
+                    fault,
+                }
             })
-            .collect();
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| {
-                Json::obj()
-                    .with("scheme", Json::Str(v.scheme.to_string()))
-                    .with("case", Json::U64(v.index as u64))
-                    .with("kill_epoch", Json::U64(v.kill_epoch as u64))
-                    .with("fault", Json::Str(v.fault.name().to_string()))
-                    .with("message", Json::Str(v.message.clone()))
-            })
-            .collect();
-        Json::obj()
-            .with("schema_version", Json::U64(CRASHTEST_SCHEMA_VERSION))
-            .with("kind", Json::Str(CRASHTEST_DOC_KIND.to_string()))
-            .with("seed", Json::U64(self.config.seed))
-            .with("kills", Json::U64(self.config.kills as u64))
-            .with("epochs", Json::U64(self.config.epochs as u64))
-            .with("ops_per_epoch", Json::U64(self.config.ops_per_epoch as u64))
-            .with("schemes", Json::Arr(schemes))
-            .with("total_violations", Json::U64(self.total_violations()))
-            .with("total_fallbacks", Json::U64(self.total_fallbacks()))
-            .with("violations", Json::Arr(violations))
+            .collect()
     }
-}
 
-/// Merges per-case outcomes order-independently (same discipline as the
-/// torture campaign merge, so any `--jobs` value yields one report).
-fn merge_outcomes(
-    cfg: &CrashtestConfig,
-    schemes: &[SchemeKind],
-    outcomes: Vec<(CrashOutcome, Option<String>)>,
-) -> CrashtestReport {
-    let position = |scheme: SchemeKind| {
-        schemes
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("outcome scheme must come from the campaign's scheme list")
-    };
-    let mut tallies: Vec<CrashTally> = schemes.iter().map(|&s| CrashTally::empty(s)).collect();
-    let mut violations = Vec::new();
-    for (outcome, verdict) in outcomes {
-        let tally = &mut tallies[position(outcome.scheme)];
-        tally.cases += 1;
-        if outcome.fault_applied {
-            tally.faults_applied += 1;
-        }
-        if outcome.open_error {
-            tally.open_errors += 1;
-        }
-        if outcome.fell_back {
-            tally.fallbacks += 1;
-        }
-        *tally.outcomes.entry(outcome.class).or_insert(0) += 1;
-        if let Some(message) = verdict {
-            tally.violations += 1;
-            violations.push(CrashViolation {
-                scheme: outcome.scheme,
-                index: outcome.index,
-                kill_epoch: outcome.case.kill_epoch,
-                fault: outcome.case.fault,
-                message,
-            });
-        }
+    fn run(&self, scheme: SchemeKind, case: KillCase) -> CrashOutcome {
+        run_case(&self.exe, scheme, &self.cfg, case)
     }
-    violations.sort_by(|a, b| {
-        (position(a.scheme), a.index, &a.message).cmp(&(position(b.scheme), b.index, &b.message))
-    });
-    CrashtestReport {
-        config: cfg.clone(),
-        tallies,
-        violations,
+
+    fn class(outcome: &CrashOutcome) -> CaseClass {
+        outcome.class
     }
-}
 
-/// Runs the campaign: `kills` real-process kill cases per scheme, each
-/// against its own image file, fanned out over up to `jobs` worker
-/// threads. `exe` is the `scue-crashtest` binary itself (the child is
-/// the same executable re-entered with `--child`).
-pub fn campaign_with_jobs(
-    exe: &Path,
-    cfg: &CrashtestConfig,
-    schemes: &[SchemeKind],
-    jobs: usize,
-) -> CrashtestReport {
-    let cells: Vec<(SchemeKind, usize, KillCase)> = schemes
-        .iter()
-        .flat_map(|&scheme| {
-            sample_cases(scheme, cfg)
-                .into_iter()
-                .enumerate()
-                .map(move |(i, case)| (scheme, i, case))
-        })
-        .collect();
-    let outcomes = par::run_indexed(jobs, &cells, |_, &(scheme, i, case), _| {
-        let outcome = run_case(exe, scheme, cfg, i, case);
-        let verdict = crash_oracle(cfg, &outcome).err();
-        (outcome, verdict)
-    });
-    merge_outcomes(cfg, schemes, outcomes)
-}
+    fn detail(outcome: &CrashOutcome) -> &str {
+        &outcome.detail
+    }
 
-/// Serial convenience wrapper around [`campaign_with_jobs`].
-pub fn campaign(exe: &Path, cfg: &CrashtestConfig, schemes: &[SchemeKind]) -> CrashtestReport {
-    campaign_with_jobs(exe, cfg, schemes, 1)
+    fn oracle(
+        &self,
+        scheme: SchemeKind,
+        _: &KillCase,
+        outcome: &CrashOutcome,
+    ) -> Result<(), String> {
+        crash_oracle(&self.cfg, scheme, outcome)
+    }
+
+    fn add(sums: &mut CrashSums, _: &KillCase, outcome: &CrashOutcome) {
+        sums.faults_applied += u64::from(outcome.fault_applied);
+        sums.open_errors += u64::from(outcome.open_error);
+        sums.fallbacks += u64::from(outcome.fell_back);
+    }
+
+    fn params_json(&self, doc: Json) -> Json {
+        doc.with("seed", Json::U64(self.cfg.seed))
+            .with("kills", Json::U64(self.cfg.kills as u64))
+            .with("epochs", Json::U64(self.cfg.epochs as u64))
+            .with("ops_per_epoch", Json::U64(self.cfg.ops_per_epoch as u64))
+    }
+
+    fn sums_json(sums: &CrashSums, outcomes: Json, entry: Json) -> Json {
+        entry
+            .with("faults_applied", Json::U64(sums.faults_applied))
+            .with("open_errors", Json::U64(sums.open_errors))
+            .with("fallbacks", Json::U64(sums.fallbacks))
+            .with("outcomes", outcomes)
+    }
+
+    fn tally_line(tally: &Tally<Self>) -> String {
+        let sums = &tally.sums;
+        format!(
+            "faults_applied={} open_errors={} fallbacks={} violations={}",
+            sums.faults_applied, sums.open_errors, sums.fallbacks, tally.violations
+        )
+    }
+
+    fn case_json(case: &KillCase, entry: Json) -> Json {
+        entry
+            .with("case", Json::U64(case.index as u64))
+            .with("kill_epoch", Json::U64(case.kill_epoch as u64))
+            .with("fault", Json::Str(case.fault.name().to_string()))
+    }
+
+    fn totals_json(report: &Report<Self>, doc: Json) -> Json {
+        doc.with("total_fallbacks", Json::U64(report.total_fallbacks()))
+    }
+
+    fn summary(report: &Report<Self>) -> String {
+        format!(
+            "{} schemes × {} kills, {} slot fallbacks",
+            report.tallies.len(),
+            report.campaign.cfg.kills,
+            report.total_fallbacks()
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Violation;
+
+    fn crashtest(kills: usize) -> Crashtest {
+        Crashtest {
+            cfg: CrashtestConfig {
+                kills,
+                ..CrashtestConfig::default()
+            },
+            exe: PathBuf::new(),
+        }
+    }
 
     #[test]
     fn fault_rotation_covers_every_kind() {
-        let cfg = CrashtestConfig {
-            kills: DurableFaultKind::ALL.len(),
-            ..CrashtestConfig::default()
-        };
-        let cases = sample_cases(SchemeKind::Scue, &cfg);
+        let cases = crashtest(DurableFaultKind::ALL.len()).sample(SchemeKind::Scue);
         let kinds: Vec<_> = cases.iter().map(|c| c.fault).collect();
         assert_eq!(kinds, DurableFaultKind::ALL.to_vec());
+        let indices: Vec<_> = cases.iter().map(|c| c.index).collect();
+        assert_eq!(
+            indices,
+            (0..DurableFaultKind::ALL.len()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn fallback_forcing_faults_never_kill_before_the_first_epoch() {
-        let cfg = CrashtestConfig {
-            kills: 40,
-            ..CrashtestConfig::default()
-        };
+        let campaign = crashtest(40);
         for scheme in SchemeKind::ALL {
-            for case in sample_cases(scheme, &cfg) {
+            for case in campaign.sample(scheme) {
                 if case.fault.forces_fallback() {
                     assert!(case.kill_epoch >= 1, "{scheme}: {case:?}");
                 }
-                assert!(case.kill_epoch <= cfg.epochs);
+                assert!(case.kill_epoch <= campaign.cfg.epochs);
             }
         }
     }
@@ -676,55 +588,95 @@ mod tests {
     fn storage_oracle_rules() {
         let cfg = CrashtestConfig::default();
         let outcome = |open_error, fault_applied, class| CrashOutcome {
-            scheme: SchemeKind::Scue,
-            case: KillCase {
-                kill_epoch: 1,
-                fault: DurableFaultKind::TornRootSlot,
-            },
-            index: 0,
             class,
             fault_applied,
             open_error,
             fell_back: false,
             detail: String::new(),
         };
+        let oracle = |o: CrashOutcome| crash_oracle(&cfg, SchemeKind::Scue, &o);
         // Injected damage may make the image unopenable — typed, not a bug.
-        assert!(crash_oracle(&cfg, &outcome(true, true, CaseClass::DetectedAtRecovery)).is_ok());
+        assert!(oracle(outcome(true, true, CaseClass::DetectedAtRecovery)).is_ok());
         // A clean kill must never lose the image.
-        assert!(crash_oracle(&cfg, &outcome(true, false, CaseClass::DetectedAtRecovery)).is_err());
+        assert!(oracle(outcome(true, false, CaseClass::DetectedAtRecovery)).is_err());
         // Opened images fall through to the scheme oracle.
-        assert!(crash_oracle(&cfg, &outcome(false, false, CaseClass::RecoveredIntact)).is_ok());
-        assert!(crash_oracle(&cfg, &outcome(false, false, CaseClass::SilentCorruption)).is_err());
+        assert!(oracle(outcome(false, false, CaseClass::RecoveredIntact)).is_ok());
+        assert!(oracle(outcome(false, false, CaseClass::SilentCorruption)).is_err());
     }
 
     #[test]
     fn report_json_shape() {
-        let cfg = CrashtestConfig::default();
-        let schemes = [SchemeKind::Scue];
-        let report = merge_outcomes(
-            &cfg,
-            &schemes,
-            vec![(
-                CrashOutcome {
-                    scheme: SchemeKind::Scue,
-                    case: KillCase {
-                        kill_epoch: 2,
-                        fault: DurableFaultKind::None,
-                    },
-                    index: 0,
-                    class: CaseClass::RecoveredIntact,
-                    fault_applied: false,
-                    open_error: false,
-                    fell_back: false,
-                    detail: String::new(),
+        let case = KillCase {
+            index: 3,
+            kill_epoch: 2,
+            fault: DurableFaultKind::TornPage,
+        };
+        let report = Report {
+            campaign: crashtest(4),
+            tallies: vec![Tally {
+                scheme: SchemeKind::Scue,
+                cases: 4,
+                outcomes: BTreeMap::from([(CaseClass::RecoveredIntact, 4)]),
+                sums: CrashSums {
+                    fallbacks: 1,
+                    ..CrashSums::default()
                 },
-                None,
-            )],
+                violations: 1,
+            }],
+            violations: vec![Violation {
+                scheme: SchemeKind::Scue,
+                case,
+                message: "m".into(),
+                shrink_steps: 0,
+                evals: 0,
+            }],
+        };
+        let doc = report.to_json();
+        let keys = |obj: &Json| match obj {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            _ => panic!("not an object: {obj:?}"),
+        };
+        assert_eq!(
+            keys(&doc),
+            [
+                "schema_version",
+                "kind",
+                "seed",
+                "kills",
+                "epochs",
+                "ops_per_epoch",
+                "schemes",
+                "total_violations",
+                "total_fallbacks",
+                "violations"
+            ]
         );
-        let doc = report.to_json().render_doc();
-        assert!(doc.contains("\"kind\":\"scue-crashtest\""), "{doc}");
-        assert!(doc.contains("\"schema_version\":1"), "{doc}");
-        assert!(doc.contains("\"total_fallbacks\":0"), "{doc}");
-        assert_eq!(report.total_violations(), 0);
+        let scheme = &doc.get("schemes").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            keys(scheme),
+            [
+                "scheme",
+                "cases",
+                "faults_applied",
+                "open_errors",
+                "fallbacks",
+                "outcomes",
+                "oracle_violations"
+            ]
+        );
+        // Kill cases have no replay: no shrink count, no command.
+        let violation = &doc.get("violations").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            keys(violation),
+            ["scheme", "case", "kill_epoch", "fault", "message"]
+        );
+        let rendered = doc.render_doc();
+        assert!(
+            rendered.contains("\"kind\":\"scue-crashtest\""),
+            "{rendered}"
+        );
+        assert!(rendered.contains("\"schema_version\":1"), "{rendered}");
+        assert!(rendered.contains("\"total_fallbacks\":1"), "{rendered}");
+        assert_eq!(report.total_violations(), 1);
     }
 }

@@ -8,7 +8,9 @@
 //! [`scue_workloads`] traces and reports the paper's metrics; the
 //! [`experiment`] module sweeps workloads × schemes × parameters to
 //! regenerate each figure's data series; the [`report`] module renders
-//! any run as versioned JSON for downstream tooling.
+//! any run as versioned JSON for downstream tooling. The [`campaign`]
+//! module runs the seeded [`torture`], [`attack`] and [`crashtest`]
+//! campaigns.
 //!
 //! # Quick start
 //!
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod attack;
+pub mod campaign;
 pub mod cli;
 pub mod config;
 pub mod crashtest;
@@ -37,20 +40,12 @@ pub mod report;
 pub mod runner;
 pub mod torture;
 
-pub use attack::{
-    AttackCampaignReport, AttackClass, AttackConfig, AttackKind, AttackSpec, ATTACK_DOC_KIND,
-    ATTACK_SCHEMA_VERSION,
-};
+pub use attack::{Attack, AttackClass, AttackConfig, AttackKind, AttackSpec};
+pub use campaign::Campaign;
 pub use config::SystemConfig;
-pub use crashtest::{
-    CrashtestConfig, CrashtestReport, DurableFaultKind, CRASHTEST_DOC_KIND,
-    CRASHTEST_SCHEMA_VERSION,
-};
+pub use crashtest::{Crashtest, CrashtestConfig, DurableFaultKind};
 pub use mc::{McConfig, McReport, MC_DOC_KIND, MC_SCHEMA_VERSION};
 pub use profile::{ProfileConfig, SchemeProfile, PROFILE_DOC_KIND, PROFILE_SCHEMA_VERSION};
 pub use report::{ReportConfig, RunReport, METRICS_SCHEMA_VERSION};
 pub use runner::{RunResult, System};
-pub use torture::{
-    campaign, CampaignReport, CaseClass, CaseSpec, FaultKind, TortureConfig, ViolationReport,
-    TORTURE_DOC_KIND, TORTURE_SCHEMA_VERSION,
-};
+pub use torture::{CaseClass, CaseSpec, FaultKind, Torture, TortureConfig};

@@ -23,24 +23,17 @@
 //!   deliberately holds them to the secure oracle, which manufactures a
 //!   violation to exercise the shrinker end-to-end).
 //!
-//! Any oracle violation is minimised with the in-repo property-test
-//! shrinker ([`scue_util::prop::shrink_failure`]) and reported with a
-//! replay command that reproduces the exact (trace, crash-cycle, fault)
-//! triple.
+//! [`Torture`] runs the campaign through [`crate::campaign`], which
+//! minimises any oracle violation with the
+//! in-repo property-test shrinker and reports it with a replay command
+//! that reproduces the exact (trace, crash-cycle, fault) triple.
 
+use crate::campaign::{self, Campaign, Tally};
 use scue::{CrashError, RecoveryOutcome, SchemeKind, SecureMemConfig, SecureMemory};
 use scue_nvm::{Cycle, FaultPlan, LineAddr, NvmFault};
 use scue_util::obs::{EventKind, Json};
-use scue_util::par;
-use scue_util::prop::{shrink_failure, Strategy};
 use scue_util::rng::{Rng, SplitMix64};
 use std::collections::BTreeMap;
-
-/// Version stamped into every torture-campaign JSON document.
-pub const TORTURE_SCHEMA_VERSION: u64 = 1;
-
-/// Document kind tag distinguishing torture output from run metrics.
-pub const TORTURE_DOC_KIND: &str = "scue-torture";
 
 /// Data-line span the op stream writes into (three leaves of the
 /// `small_test` geometry: enough counter churn to matter, small enough
@@ -51,11 +44,8 @@ const OP_ADDR_SPAN: u64 = 192;
 /// the op span so it never collides with campaign state.
 const RESUME_ADDR: u64 = 4000;
 
-/// Shrink budget per violation (property evaluations).
-const SHRINK_EVALS: u32 = 200;
-
 /// Which fault (if any) a torture case injects at the crash point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// Clean crash: ADR holds, nothing breaks.
     None,
@@ -108,7 +98,7 @@ impl FaultKind {
 
 /// One torture case: how far the op stream runs, when power fails, and
 /// what breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CaseSpec {
     /// Ops the deterministic stream may issue before the crash.
     pub ops: usize,
@@ -131,45 +121,16 @@ impl CaseSpec {
         )
     }
 
-    /// Parses a `scheme:ops:crash_at:fault` replay spec.
-    pub fn parse_replay(spec: &str) -> Option<(SchemeKind, CaseSpec)> {
-        Self::diagnose_replay(spec).ok()
-    }
-
-    /// [`CaseSpec::parse_replay`] with a diagnosis: the error names the
-    /// offending field and echoes the offending value.
+    /// Parses a `scheme:ops:crash_at:fault` replay spec; the error names
+    /// the offending field and echoes the offending value.
     pub fn diagnose_replay(spec: &str) -> Result<(SchemeKind, CaseSpec), String> {
-        let mut parts = spec.split(':');
-        let mut field = |name: &str| {
-            parts
-                .next()
-                .ok_or_else(|| format!("replay spec is missing the {name} field"))
-        };
-        let scheme_str = field("scheme")?;
-        let scheme = SchemeKind::parse(scheme_str)
-            .ok_or_else(|| format!("invalid scheme in replay spec: `{scheme_str}`"))?;
-        let ops_str = field("ops")?;
-        let ops = ops_str
-            .parse()
-            .map_err(|_| format!("invalid ops in replay spec: `{ops_str}`"))?;
-        let crash_str = field("crash_at")?;
-        let crash_at = crash_str
-            .parse()
-            .map_err(|_| format!("invalid crash_at in replay spec: `{crash_str}`"))?;
-        let fault_str = field("fault")?;
-        let fault = FaultKind::parse(fault_str)
-            .ok_or_else(|| format!("invalid fault in replay spec: `{fault_str}`"))?;
-        if let Some(extra) = parts.next() {
-            return Err(format!("trailing field in replay spec: `{extra}`"));
-        }
-        Ok((
-            scheme,
-            CaseSpec {
-                ops,
-                crash_at,
-                fault,
-            },
-        ))
+        campaign::parse_spec(spec, |fields| {
+            Ok(CaseSpec {
+                ops: fields.field("ops", |s| s.parse().ok())?,
+                crash_at: fields.field("crash_at", |s| s.parse().ok())?,
+                fault: fields.field("fault", FaultKind::parse)?,
+            })
+        })
     }
 }
 
@@ -567,71 +528,141 @@ pub fn oracle(scheme: SchemeKind, cfg: &TortureConfig, result: &CaseResult) -> R
     }
 }
 
-/// Strategy over [`CaseSpec`] used only for shrinking: fewer ops and an
-/// earlier crash are "smaller"; the fault kind is pinned (it is the
-/// hypothesis under test).
-struct CaseStrategy {
-    fault: FaultKind,
+/// The torture campaign: `points` crash cases per scheme under `cfg`.
+#[derive(Debug, Clone, Copy)]
+pub struct Torture {
+    /// Configuration in force.
+    pub cfg: TortureConfig,
+    /// Crash points sampled per scheme.
+    pub points: usize,
 }
 
-impl Strategy for CaseStrategy {
-    type Value = CaseSpec;
+/// Per-scheme torture sums.
+#[derive(Debug, Clone, Default)]
+pub struct TortureSums {
+    /// Cases in which at least one fault changed the image.
+    pub faults_applied: u64,
+    /// Total leaf counters repaired across all cases.
+    pub repaired_leaves: u64,
+    /// Pre-image journal entries dropped by the bounded store history
+    /// across all cases (see [`scue_nvm::HistoryStats`]).
+    pub history_dropped: u64,
+}
 
-    fn generate(&self, rng: &mut Rng) -> CaseSpec {
-        CaseSpec {
-            ops: rng.gen_range(1..512usize),
-            crash_at: rng.gen_range(1..1_000_000u64),
-            fault: self.fault,
-        }
+impl Campaign for Torture {
+    type Case = CaseSpec;
+    type Class = CaseClass;
+    type Result = CaseResult;
+    type Sums = TortureSums;
+
+    const KIND: &'static str = "scue-torture";
+    const SCHEMA_VERSION: u64 = 1;
+    const CLASSES: &'static [CaseClass] = &CaseClass::ALL;
+    const SHRINK_EVALS: u32 = 200;
+
+    fn class_name(class: CaseClass) -> &'static str {
+        class.name()
     }
 
+    /// Even indices uniform over the stream's lifetime, odd indices
+    /// jittered around persistence boundaries (where torn state is most
+    /// likely), fault kinds rotating through [`FaultKind::ALL`].
+    fn sample(&self, scheme: SchemeKind) -> Vec<CaseSpec> {
+        let cfg = &self.cfg;
+        let (boundaries, end) = probe_boundaries(scheme, cfg);
+        let mut rng =
+            Rng::from_seed(cfg.seed ^ (scheme as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
+        (0..self.points)
+            .map(|i| {
+                let crash_at = if i % 2 == 0 {
+                    rng.gen_range(1..=end)
+                } else {
+                    let b = boundaries[rng.gen_range(0..boundaries.len())];
+                    let jitter = rng.gen_range(0..32u64);
+                    (b + jitter).saturating_sub(16).max(1)
+                };
+                CaseSpec {
+                    ops: cfg.ops,
+                    crash_at,
+                    fault: FaultKind::ALL[i % FaultKind::ALL.len()],
+                }
+            })
+            .collect()
+    }
+
+    fn run(&self, scheme: SchemeKind, case: CaseSpec) -> CaseResult {
+        run_case(scheme, &self.cfg, case)
+    }
+
+    fn class(result: &CaseResult) -> CaseClass {
+        result.class
+    }
+
+    fn detail(result: &CaseResult) -> &str {
+        &result.detail
+    }
+
+    fn oracle(&self, scheme: SchemeKind, _: &CaseSpec, result: &CaseResult) -> Result<(), String> {
+        oracle(scheme, &self.cfg, result)
+    }
+
+    /// Fewer ops and an earlier crash are "smaller"; the fault kind is
+    /// pinned (it is the hypothesis under test).
     fn shrink(&self, v: &CaseSpec) -> Vec<CaseSpec> {
         let mut out = Vec::new();
         if v.ops > 1 {
-            out.push(CaseSpec { ops: 1, ..*v });
-            out.push(CaseSpec {
-                ops: v.ops / 2,
-                ..*v
-            });
-            out.push(CaseSpec {
-                ops: v.ops - 1,
-                ..*v
-            });
+            for ops in [1, v.ops / 2, v.ops - 1] {
+                out.push(CaseSpec { ops, ..*v });
+            }
         }
         if v.crash_at > 1 {
-            out.push(CaseSpec { crash_at: 1, ..*v });
-            out.push(CaseSpec {
-                crash_at: v.crash_at / 2,
-                ..*v
-            });
-            out.push(CaseSpec {
-                crash_at: v.crash_at - 1,
-                ..*v
-            });
+            for crash_at in [1, v.crash_at / 2, v.crash_at - 1] {
+                out.push(CaseSpec { crash_at, ..*v });
+            }
         }
         out.retain(|c| c != v);
         out
     }
-}
 
-/// One minimised oracle violation, ready to replay.
-#[derive(Debug, Clone)]
-pub struct ViolationReport {
-    /// The scheme that violated the oracle.
-    pub scheme: SchemeKind,
-    /// The minimal failing case.
-    pub case: CaseSpec,
-    /// The oracle's reason at the minimal case.
-    pub message: String,
-    /// Successful shrink steps applied to reach the minimum.
-    pub shrink_steps: u32,
-    /// Property evaluations spent shrinking.
-    pub evals: u32,
-}
+    fn add(sums: &mut TortureSums, _: &CaseSpec, result: &CaseResult) {
+        sums.faults_applied += u64::from(result.fault_applied);
+        sums.repaired_leaves += result.repaired_leaves;
+        sums.history_dropped += result.history_dropped;
+    }
 
-impl ViolationReport {
-    /// The command that reproduces this exact violation.
-    pub fn replay_command(&self, cfg: &TortureConfig) -> String {
+    fn params_json(&self, doc: Json) -> Json {
+        doc.with("seed", Json::U64(self.cfg.seed))
+            .with("points", Json::U64(self.points as u64))
+            .with("ops", Json::U64(self.cfg.ops as u64))
+            .with("eadr", Json::Bool(self.cfg.eadr))
+            .with("strict_baseline", Json::Bool(self.cfg.strict_baseline))
+            .with("strict_windows", Json::Bool(self.cfg.strict_windows))
+    }
+
+    fn sums_json(sums: &TortureSums, outcomes: Json, entry: Json) -> Json {
+        entry
+            .with("faults_applied", Json::U64(sums.faults_applied))
+            .with("outcomes", outcomes)
+            .with("repaired_leaves", Json::U64(sums.repaired_leaves))
+            .with("history_dropped", Json::U64(sums.history_dropped))
+    }
+
+    fn tally_line(tally: &Tally<Self>) -> String {
+        format!(
+            "faults_applied={} repaired_leaves={} violations={}",
+            tally.sums.faults_applied, tally.sums.repaired_leaves, tally.violations
+        )
+    }
+
+    fn case_json(case: &CaseSpec, entry: Json) -> Json {
+        entry
+            .with("ops", Json::U64(case.ops as u64))
+            .with("crash_at", Json::U64(case.crash_at))
+            .with("fault", Json::Str(case.fault.name().to_string()))
+    }
+
+    fn replay_command(&self, scheme: SchemeKind, case: &CaseSpec) -> Option<String> {
+        let cfg = &self.cfg;
         let mut cmd = format!("scue-torture --seed {}", cfg.seed);
         if cfg.eadr {
             cmd.push_str(" --eadr");
@@ -642,114 +673,25 @@ impl ViolationReport {
         if cfg.strict_windows {
             cmd.push_str(" --strict-windows");
         }
-        cmd.push_str(&format!(" --replay {}", self.case.replay_spec(self.scheme)));
-        cmd
-    }
-}
-
-/// Per-scheme campaign tally.
-#[derive(Debug, Clone)]
-pub struct SchemeTally {
-    /// The scheme.
-    pub scheme: SchemeKind,
-    /// Cases run.
-    pub cases: u64,
-    /// Cases in which at least one fault changed the image.
-    pub faults_applied: u64,
-    /// Outcome histogram, keyed in [`CaseClass::ALL`] order.
-    pub outcomes: BTreeMap<CaseClass, u64>,
-    /// Total leaf counters repaired across all cases.
-    pub repaired_leaves: u64,
-    /// Pre-image journal entries dropped by the bounded store history
-    /// across all cases (see [`scue_nvm::HistoryStats`]).
-    pub history_dropped: u64,
-    /// Oracle violations among these cases.
-    pub violations: u64,
-}
-
-impl SchemeTally {
-    /// A zeroed tally for one scheme.
-    fn empty(scheme: SchemeKind) -> Self {
-        SchemeTally {
-            scheme,
-            cases: 0,
-            faults_applied: 0,
-            outcomes: BTreeMap::new(),
-            repaired_leaves: 0,
-            history_dropped: 0,
-            violations: 0,
-        }
-    }
-}
-
-/// A full campaign's results.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// Configuration in force.
-    pub config: TortureConfig,
-    /// Crash points sampled per scheme.
-    pub points: usize,
-    /// Per-scheme tallies.
-    pub tallies: Vec<SchemeTally>,
-    /// Minimised violations (empty on a healthy campaign).
-    pub violations: Vec<ViolationReport>,
-}
-
-impl CampaignReport {
-    /// Total oracle violations across all schemes.
-    pub fn total_violations(&self) -> u64 {
-        self.tallies.iter().map(|t| t.violations).sum()
+        cmd.push_str(&format!(" --replay {}", case.replay_spec(scheme)));
+        Some(cmd)
     }
 
-    /// The campaign as a versioned JSON document.
-    pub fn to_json(&self) -> Json {
-        let schemes = self
-            .tallies
-            .iter()
-            .map(|t| {
-                let mut outcomes = Json::obj();
-                for class in CaseClass::ALL {
-                    outcomes.set(
-                        class.name(),
-                        Json::U64(t.outcomes.get(&class).copied().unwrap_or(0)),
-                    );
-                }
-                Json::obj()
-                    .with("scheme", Json::Str(t.scheme.to_string()))
-                    .with("cases", Json::U64(t.cases))
-                    .with("faults_applied", Json::U64(t.faults_applied))
-                    .with("outcomes", outcomes)
-                    .with("repaired_leaves", Json::U64(t.repaired_leaves))
-                    .with("history_dropped", Json::U64(t.history_dropped))
-                    .with("oracle_violations", Json::U64(t.violations))
-            })
-            .collect();
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| {
-                Json::obj()
-                    .with("scheme", Json::Str(v.scheme.to_string()))
-                    .with("ops", Json::U64(v.case.ops as u64))
-                    .with("crash_at", Json::U64(v.case.crash_at))
-                    .with("fault", Json::Str(v.case.fault.name().to_string()))
-                    .with("message", Json::Str(v.message.clone()))
-                    .with("shrink_steps", Json::U64(v.shrink_steps as u64))
-                    .with("replay", Json::Str(v.replay_command(&self.config)))
-            })
-            .collect();
-        Json::obj()
-            .with("schema_version", Json::U64(TORTURE_SCHEMA_VERSION))
-            .with("kind", Json::Str(TORTURE_DOC_KIND.to_string()))
-            .with("seed", Json::U64(self.config.seed))
-            .with("points", Json::U64(self.points as u64))
-            .with("ops", Json::U64(self.config.ops as u64))
-            .with("eadr", Json::Bool(self.config.eadr))
-            .with("strict_baseline", Json::Bool(self.config.strict_baseline))
-            .with("strict_windows", Json::Bool(self.config.strict_windows))
-            .with("schemes", Json::Arr(schemes))
-            .with("total_violations", Json::U64(self.total_violations()))
-            .with("violations", Json::Arr(violations))
+    fn describe(result: &CaseResult) -> String {
+        format!(
+            "fault_applied={}, repaired_leaves={}",
+            result.fault_applied, result.repaired_leaves
+        )
+    }
+
+    fn warning(sums: &TortureSums) -> Option<String> {
+        (sums.history_dropped > 0).then(|| {
+            format!(
+                "store history journal dropped {} pre-images \
+                 (raise the cap if fault fidelity matters)",
+                sums.history_dropped
+            )
+        })
     }
 }
 
@@ -793,179 +735,6 @@ fn probe_boundaries(scheme: SchemeKind, cfg: &TortureConfig) -> (Vec<Cycle>, Cyc
     (boundaries, now.max(1))
 }
 
-/// Samples `points` crash cases for one scheme: even indices uniform
-/// over the stream's lifetime, odd indices jittered around persistence
-/// boundaries (where torn state is most likely), fault kinds rotating
-/// through [`FaultKind::ALL`].
-fn sample_cases(scheme: SchemeKind, cfg: &TortureConfig, points: usize) -> Vec<CaseSpec> {
-    let (boundaries, end) = probe_boundaries(scheme, cfg);
-    let mut rng =
-        Rng::from_seed(cfg.seed ^ (scheme as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
-    (0..points)
-        .map(|i| {
-            let crash_at = if i % 2 == 0 {
-                rng.gen_range(1..=end)
-            } else {
-                let b = boundaries[rng.gen_range(0..boundaries.len())];
-                let jitter = rng.gen_range(0..32u64);
-                (b + jitter).saturating_sub(16).max(1)
-            };
-            CaseSpec {
-                ops: cfg.ops,
-                crash_at,
-                fault: FaultKind::ALL[i % FaultKind::ALL.len()],
-            }
-        })
-        .collect()
-}
-
-/// One torture cell's result: everything the campaign merge needs,
-/// independent of which worker ran the cell or when it finished.
-#[derive(Debug, Clone)]
-struct CaseOutcome {
-    scheme: SchemeKind,
-    fault_applied: bool,
-    class: CaseClass,
-    repaired_leaves: u64,
-    history_dropped: u64,
-    violation: Option<ViolationReport>,
-}
-
-/// Runs one `(scheme, case)` cell: crash case, oracle, and — on a
-/// violation — the shrinking minimiser, all inside the cell so the
-/// result is a pure function of the cell.
-fn run_cell(scheme: SchemeKind, cfg: &TortureConfig, case: CaseSpec) -> CaseOutcome {
-    let result = run_case(scheme, cfg, case);
-    let violation = match oracle(scheme, cfg, &result) {
-        Ok(()) => None,
-        Err(message) => Some(minimise(scheme, cfg, case, message)),
-    };
-    CaseOutcome {
-        scheme,
-        fault_applied: result.fault_applied,
-        class: result.class,
-        repaired_leaves: result.repaired_leaves,
-        history_dropped: result.history_dropped,
-        violation,
-    }
-}
-
-/// Folds per-cell outcomes into a [`CampaignReport`], independent of
-/// the order the outcomes arrive in: tallies are keyed by the caller's
-/// scheme order and summed commutatively, and violations get a
-/// canonical sort (scheme position, ops, crash point, fault, message)
-/// before rendering — so a shuffled outcome stream from a parallel run
-/// merges to the same report as the serial loop.
-fn merge_outcomes(
-    cfg: &TortureConfig,
-    points: usize,
-    schemes: &[SchemeKind],
-    outcomes: &[CaseOutcome],
-) -> CampaignReport {
-    let position = |scheme: SchemeKind| {
-        schemes
-            .iter()
-            .position(|&s| s == scheme)
-            .expect("outcome scheme must come from the campaign's scheme list")
-    };
-    let mut tallies: Vec<SchemeTally> = schemes.iter().map(|&s| SchemeTally::empty(s)).collect();
-    let mut violations = Vec::new();
-    for outcome in outcomes {
-        let tally = &mut tallies[position(outcome.scheme)];
-        tally.cases += 1;
-        if outcome.fault_applied {
-            tally.faults_applied += 1;
-        }
-        *tally.outcomes.entry(outcome.class).or_insert(0) += 1;
-        tally.repaired_leaves += outcome.repaired_leaves;
-        tally.history_dropped += outcome.history_dropped;
-        if let Some(violation) = &outcome.violation {
-            tally.violations += 1;
-            violations.push(violation.clone());
-        }
-    }
-    violations.sort_by(|a, b| {
-        let fault_pos = |f: FaultKind| FaultKind::ALL.iter().position(|&k| k == f).unwrap_or(0);
-        (
-            position(a.scheme),
-            a.case.ops,
-            a.case.crash_at,
-            fault_pos(a.case.fault),
-            &a.message,
-        )
-            .cmp(&(
-                position(b.scheme),
-                b.case.ops,
-                b.case.crash_at,
-                fault_pos(b.case.fault),
-                &b.message,
-            ))
-    });
-    CampaignReport {
-        config: *cfg,
-        points,
-        tallies,
-        violations,
-    }
-}
-
-/// Runs the full campaign: `points` crash cases per scheme, oracle
-/// checks on each, and a shrinking minimiser on every violation.
-/// Serial (`jobs == 1`); see [`campaign_with_jobs`] for the fan-out.
-pub fn campaign(cfg: &TortureConfig, points: usize, schemes: &[SchemeKind]) -> CampaignReport {
-    campaign_with_jobs(cfg, points, schemes, 1)
-}
-
-/// [`campaign`] fanned out over up to `jobs` worker threads.
-///
-/// Case sampling fans out per scheme, then every `(scheme, case)` pair
-/// becomes one [`par::run_indexed`] cell (crash + oracle + minimise).
-/// Each cell is a pure function of its spec — the cell seed stream is
-/// unused because [`CaseSpec`] already pins all randomness — and the
-/// merge is order-independent, so the report (and its JSON rendering)
-/// is byte-identical at any job count.
-pub fn campaign_with_jobs(
-    cfg: &TortureConfig,
-    points: usize,
-    schemes: &[SchemeKind],
-    jobs: usize,
-) -> CampaignReport {
-    let sampled: Vec<Vec<CaseSpec>> = par::run_indexed(jobs, schemes, |_, &scheme, _| {
-        sample_cases(scheme, cfg, points)
-    });
-    let cells: Vec<(SchemeKind, CaseSpec)> = schemes
-        .iter()
-        .zip(&sampled)
-        .flat_map(|(&scheme, cases)| cases.iter().map(move |&case| (scheme, case)))
-        .collect();
-    let outcomes = par::run_indexed(jobs, &cells, |_, &(scheme, case), _| {
-        run_cell(scheme, cfg, case)
-    });
-    merge_outcomes(cfg, points, schemes, &outcomes)
-}
-
-/// Shrinks one violating case to a local minimum with the prop-harness
-/// engine; the test re-runs the full case + oracle each evaluation.
-pub fn minimise(
-    scheme: SchemeKind,
-    cfg: &TortureConfig,
-    case: CaseSpec,
-    message: String,
-) -> ViolationReport {
-    let strategy = CaseStrategy { fault: case.fault };
-    let cfg_copy = *cfg;
-    let shrunk = shrink_failure(&strategy, case, message, SHRINK_EVALS, move |candidate| {
-        oracle(scheme, &cfg_copy, &run_case(scheme, &cfg_copy, candidate))
-    });
-    ViolationReport {
-        scheme,
-        case: shrunk.minimal,
-        message: shrunk.message,
-        shrink_steps: shrunk.shrink_steps,
-        evals: shrunk.evals,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1004,21 +773,18 @@ mod tests {
         oracle(SchemeKind::Scue, &cfg, &result).unwrap_err();
         oracle(SchemeKind::Scue, &strict, &result).unwrap_err();
         // And the replay command advertises the mode.
-        let violation = ViolationReport {
-            scheme: SchemeKind::Lazy,
-            case: CaseSpec {
-                ops: 1,
-                crash_at: 10,
-                fault: FaultKind::None,
-            },
-            message: String::new(),
-            shrink_steps: 0,
-            evals: 0,
+        let case = CaseSpec {
+            ops: 1,
+            crash_at: 10,
+            fault: FaultKind::None,
         };
-        assert!(violation
-            .replay_command(&strict)
-            .contains("--strict-windows"));
-        assert!(!violation.replay_command(&cfg).contains("--strict-windows"));
+        let command = |cfg| {
+            Torture { cfg, points: 1 }
+                .replay_command(SchemeKind::Lazy, &case)
+                .unwrap()
+        };
+        assert!(command(strict).contains("--strict-windows"));
+        assert!(!command(cfg).contains("--strict-windows"));
     }
 
     #[test]
@@ -1031,14 +797,14 @@ mod tests {
                     fault,
                 };
                 let spec = case.replay_spec(scheme);
-                let (s, c) = CaseSpec::parse_replay(&spec).expect("own spec must parse");
+                let (s, c) = CaseSpec::diagnose_replay(&spec).expect("own spec must parse");
                 assert_eq!((s, c), (scheme, case));
                 assert_eq!(c.replay_spec(s), spec, "parse→render identity");
             }
         }
-        assert!(CaseSpec::parse_replay("scue:1:2:bogus").is_none());
-        assert!(CaseSpec::parse_replay("scue:1:2").is_none());
-        assert!(CaseSpec::parse_replay("scue:1:2:none:extra").is_none());
+        assert!(CaseSpec::diagnose_replay("scue:1:2:bogus").is_err());
+        assert!(CaseSpec::diagnose_replay("scue:1:2").is_err());
+        assert!(CaseSpec::diagnose_replay("scue:1:2:none:extra").is_err());
     }
 
     #[test]
@@ -1116,7 +882,7 @@ mod tests {
     #[test]
     fn small_campaign_has_no_violations_and_expected_window_fails() {
         let cfg = quick_cfg();
-        let report = campaign(&cfg, 14, &SchemeKind::ALL);
+        let report = campaign::run(&Torture { cfg, points: 14 }, &SchemeKind::ALL, 1);
         assert_eq!(report.total_violations(), 0, "{:?}", report.violations);
         // Lazy must hit its crash window somewhere in 14 points.
         let lazy = report
@@ -1133,7 +899,7 @@ mod tests {
             "{lazy:?}"
         );
         // Faults landed somewhere across the campaign.
-        assert!(report.tallies.iter().any(|t| t.faults_applied > 0));
+        assert!(report.tallies.iter().any(|t| t.sums.faults_applied > 0));
     }
 
     #[test]
@@ -1152,7 +918,8 @@ mod tests {
         let result = run_case(SchemeKind::Baseline, &cfg, case);
         let message = oracle(SchemeKind::Baseline, &cfg, &result)
             .expect_err("bit flip on baseline must violate the strict oracle");
-        let violation = minimise(SchemeKind::Baseline, &cfg, case, message);
+        let torture = Torture { cfg, points: 1 };
+        let violation = campaign::minimise(&torture, SchemeKind::Baseline, case, message);
         assert!(violation.shrink_steps > 0, "shrinker must make progress");
         assert!(
             violation.case.ops <= case.ops && violation.case.crash_at <= case.crash_at,
@@ -1160,57 +927,26 @@ mod tests {
         );
         // The replay spec reproduces the violation exactly.
         let spec = violation.case.replay_spec(violation.scheme);
-        let (scheme, replayed) = CaseSpec::parse_replay(&spec).unwrap();
+        let (scheme, replayed) = CaseSpec::diagnose_replay(&spec).unwrap();
         let replay_result = run_case(scheme, &cfg, replayed);
         oracle(scheme, &cfg, &replay_result).expect_err("replay must reproduce the violation");
         // And the printed command names the bin, seed and spec.
-        let cmd = violation.replay_command(&cfg);
+        let cmd = torture
+            .replay_command(violation.scheme, &violation.case)
+            .unwrap();
         assert!(cmd.contains("scue-torture"));
         assert!(cmd.contains("--strict-baseline"));
         assert!(cmd.contains(&spec));
     }
 
     #[test]
-    fn merge_is_order_independent() {
-        // A parallel campaign delivers outcomes in completion order;
-        // the merge must not care. Reverse and interleave the serial
-        // outcome stream and demand an identical rendered report.
-        let cfg = quick_cfg();
-        let schemes = [SchemeKind::Scue, SchemeKind::Lazy, SchemeKind::Baseline];
-        let mut outcomes = Vec::new();
-        for &scheme in &schemes {
-            for case in sample_cases(scheme, &cfg, 8) {
-                outcomes.push(run_cell(scheme, &cfg, case));
-            }
-        }
-        let reference = merge_outcomes(&cfg, 8, &schemes, &outcomes)
-            .to_json()
-            .render_doc();
-        let mut reversed = outcomes.clone();
-        reversed.reverse();
-        let mut interleaved = Vec::new();
-        let half = outcomes.len() / 2;
-        for i in 0..half {
-            interleaved.push(outcomes[i].clone());
-            interleaved.push(outcomes[half + i].clone());
-        }
-        interleaved.extend(outcomes[2 * half..].iter().cloned());
-        for shuffled in [reversed, interleaved] {
-            assert_eq!(shuffled.len(), outcomes.len());
-            let report = merge_outcomes(&cfg, 8, &schemes, &shuffled);
-            assert_eq!(report.to_json().render_doc(), reference);
-        }
-    }
-
-    #[test]
     fn campaign_is_byte_identical_across_job_counts() {
         let cfg = quick_cfg();
         let schemes = [SchemeKind::Scue, SchemeKind::Plp];
-        let serial = campaign_with_jobs(&cfg, 6, &schemes, 1)
-            .to_json()
-            .render_doc();
+        let torture = Torture { cfg, points: 6 };
+        let serial = campaign::run(&torture, &schemes, 1).to_json().render_doc();
         for jobs in [3, 7] {
-            let parallel = campaign_with_jobs(&cfg, 6, &schemes, jobs)
+            let parallel = campaign::run(&torture, &schemes, jobs)
                 .to_json()
                 .render_doc();
             assert_eq!(parallel, serial, "jobs={jobs}");
@@ -1229,10 +965,12 @@ mod tests {
             crash_at: 500_000,
             fault: FaultKind::TornCounter,
         };
-        let outcome = run_cell(SchemeKind::Scue, &cfg, case);
-        assert_eq!(outcome.class, CaseClass::RepairedCounter, "{outcome:?}");
-        assert!(outcome.repaired_leaves > 0, "{outcome:?}");
-        let report = merge_outcomes(&cfg, 1, &[SchemeKind::Scue], &[outcome.clone()]);
+        let result = run_case(SchemeKind::Scue, &cfg, case);
+        assert_eq!(result.class, CaseClass::RepairedCounter, "{result:?}");
+        assert!(result.repaired_leaves > 0, "{result:?}");
+        let torture = Torture { cfg, points: 1 };
+        let cell = campaign::run_cell(&torture, SchemeKind::Scue, case);
+        let report = campaign::merge(&torture, &[SchemeKind::Scue], vec![cell]);
         let tally = &report.tallies[0];
         let repaired_cases = tally
             .outcomes
@@ -1240,10 +978,11 @@ mod tests {
             .copied()
             .unwrap_or(0);
         assert_eq!(repaired_cases, 1);
-        assert!(tally.repaired_leaves >= repaired_cases, "{tally:?}");
+        assert_eq!(tally.sums.repaired_leaves, result.repaired_leaves);
+        assert!(tally.sums.repaired_leaves >= repaired_cases, "{tally:?}");
         let rendered = report.to_json().render_doc();
         assert!(
-            rendered.contains(&format!("\"repaired_leaves\":{}", outcome.repaired_leaves)),
+            rendered.contains(&format!("\"repaired_leaves\":{}", result.repaired_leaves)),
             "{rendered}"
         );
     }
@@ -1251,16 +990,17 @@ mod tests {
     #[test]
     fn campaign_json_is_versioned_and_parses() {
         let cfg = quick_cfg();
-        let report = campaign(&cfg, 7, &[SchemeKind::Scue, SchemeKind::Baseline]);
+        let torture = Torture { cfg, points: 7 };
+        let report = campaign::run(&torture, &[SchemeKind::Scue, SchemeKind::Baseline], 1);
         let doc = report.to_json();
         let parsed = Json::parse(&doc.render_doc()).unwrap();
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_u64),
-            Some(TORTURE_SCHEMA_VERSION)
+            Some(Torture::SCHEMA_VERSION)
         );
         assert_eq!(
             parsed.get("kind").and_then(Json::as_str),
-            Some(TORTURE_DOC_KIND)
+            Some(Torture::KIND)
         );
         let schemes = parsed.get("schemes").and_then(Json::as_arr).unwrap();
         assert_eq!(schemes.len(), 2);

@@ -114,8 +114,8 @@ fn every_golden_witness_reproduces_a_concrete_violation() {
                 .get("replay")
                 .and_then(Json::as_str)
                 .unwrap_or_else(|| panic!("{name}: witness without a replay spec: {w:?}"));
-            let (scheme, case) =
-                CaseSpec::parse_replay(spec).unwrap_or_else(|| panic!("bad spec `{spec}`"));
+            let (scheme, case) = CaseSpec::diagnose_replay(spec)
+                .unwrap_or_else(|e| panic!("bad spec `{spec}`: {e}"));
             assert_eq!(scheme.to_string(), *name, "spec `{spec}` names {name}");
 
             // Forward direction: the spec violates the strict oracle.

@@ -24,9 +24,9 @@ use scue_util::rng::Rng;
 /// fault drawn from the whole taxonomy. Shrinking reduces ops and
 /// crash_at toward 1 but pins the sampled fault — the minimal repro
 /// keeps the failure's hypothesis.
-struct ZooCaseStrategy;
+struct ZooStrategy;
 
-impl Strategy for ZooCaseStrategy {
+impl Strategy for ZooStrategy {
     type Value = CaseSpec;
 
     fn generate(&self, rng: &mut Rng) -> CaseSpec {
@@ -62,7 +62,7 @@ fn recovery_property_holds(scheme: SchemeKind) {
         cases: 48,
         ..ProptestConfig::default()
     };
-    if let Err(failure) = run_property(&prop, &ZooCaseStrategy, |case| {
+    if let Err(failure) = run_property(&prop, &ZooStrategy, |case| {
         let result = torture::run_case(scheme, &cfg, case);
         torture::oracle(scheme, &cfg, &result)
     }) {
@@ -114,7 +114,7 @@ fn shrinker_reduces_failures_to_replayable_specs() {
     };
     // Synthetic property that "fails" whenever ops >= 10 and the crash
     // lands at cycle >= 100: the minimum is exactly (10, 100).
-    let failure = run_property(&prop, &ZooCaseStrategy, |case: CaseSpec| {
+    let failure = run_property(&prop, &ZooStrategy, |case: CaseSpec| {
         if case.ops >= 10 && case.crash_at >= 100 {
             Err(format!("synthetic failure at ops={}", case.ops))
         } else {
@@ -126,7 +126,7 @@ fn shrinker_reduces_failures_to_replayable_specs() {
     assert_eq!(failure.minimal.crash_at, 100, "{:?}", failure);
     let spec = failure.minimal.replay_spec(SchemeKind::Phoenix);
     let (scheme, case) =
-        CaseSpec::parse_replay(&spec).unwrap_or_else(|| panic!("minimal spec `{spec}` must parse"));
+        CaseSpec::diagnose_replay(&spec).unwrap_or_else(|e| panic!("minimal spec `{spec}`: {e}"));
     assert_eq!(scheme, SchemeKind::Phoenix);
     assert_eq!(case, failure.minimal);
 }

@@ -5,9 +5,15 @@
 //! both directions live here so no external tool is ever needed. The
 //! supported grammar is standard JSON with two deliberate restrictions:
 //! object keys are emitted in insertion order (stable output for diffs
-//! and golden tests) and non-finite floats render as `null`.
+//! and golden tests) and non-finite floats render as `null`. The parser
+//! reads untrusted files, so it rejects arrays and objects nested deeper
+//! than `MAX_DEPTH` (128) instead of recursing without bound.
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The repo's own documents nest at most 7 deep.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,11 +168,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error
+    /// or of the first array or object nested more than 128 deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -208,8 +215,16 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value at `pos`, inside `depth` enclosing arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -225,7 +240,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -250,7 +265,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -308,12 +323,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 out.push(b as char);
                 *pos += 1;
             }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
+            Some(&b) => {
+                // Multi-byte UTF-8: the lead byte's high ones give the
+                // scalar's length, so only this scalar is decoded.
+                let len = b.leading_ones() as usize;
+                let c = bytes
+                    .get(*pos..*pos + len)
+                    .and_then(|s| std::str::from_utf8(s).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or("invalid utf-8")?;
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += len;
             }
         }
     }
@@ -407,6 +427,31 @@ mod tests {
         assert_eq!(arr[0].as_f64(), Some(-3.5));
         assert_eq!(arr[1].as_f64(), Some(1000.0));
         assert_eq!(arr[2].as_f64(), Some(-2.0));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested = |depth: usize| open.repeat(depth) + "0" + &close.repeat(depth);
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            let offset = MAX_DEPTH * open.len();
+            assert!(err.contains(&format!("at byte {offset}")), "{err}");
+            assert!(Json::parse(&nested(100_000)).is_err());
+        }
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip() {
+        for s in ["é", "naïve café", "€ 1 ≤ 2", "🦀 ok", &"é".repeat(20_000)] {
+            let doc = Json::obj().with(s, Json::Arr(vec![Json::Str(s.to_string())]));
+            assert_eq!(Json::parse(&doc.render()).unwrap(), doc, "{s}");
+        }
+        // A lone continuation or truncated lead byte cannot come from a
+        // `str`, but the byte reader must still refuse it cleanly.
+        assert!(parse_string(b"\"\x80\"", &mut 0).is_err());
+        assert!(parse_string(b"\"\xC3", &mut 0).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ t1=$(date +%s%3N)
 cargo run --release --offline -q -p scue-sim --bin scue-check-metrics -- \
     "$metrics_tmp/torture.json"
 
-echo "==> torture determinism: --jobs 1 vs --jobs 4 (payload diff, provenance stripped)"
+echo "==> torture determinism: --jobs 1 vs --jobs 4 + committed artefact (provenance stripped)"
 cargo run --release --offline -q -p scue-sim --bin scue-torture -- \
     --seed 1 --points 200 --jobs 1 --json "$metrics_tmp/torture_serial.json" > /dev/null
 t2=$(date +%s%3N)
@@ -45,6 +45,15 @@ strip_provenance() { sed 's/,"provenance":{[^}]*}//' "$1"; }
 if ! diff <(strip_provenance "$metrics_tmp/torture.json") \
           <(strip_provenance "$metrics_tmp/torture_serial.json"); then
     echo "ERROR: torture campaign payload differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+# The campaign is fully deterministic, so the committed artefact is
+# diffed against the fresh run, not merely validated.
+cargo run --release --offline -q -p scue-sim --bin scue-check-metrics -- \
+    results/torture_smoke.json
+if ! diff <(strip_provenance "$metrics_tmp/torture.json") \
+          <(strip_provenance results/torture_smoke.json); then
+    echo "ERROR: committed results/torture_smoke.json diverged from a fresh run" >&2
     exit 1
 fi
 echo "torture wall-clock: --jobs 4: $((t1 - t0)) ms, --jobs 1: $((t2 - t1)) ms"

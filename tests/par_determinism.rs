@@ -10,12 +10,13 @@
 //! ```
 
 use scue_bench::{hash_rows_to_json, rows_to_json};
-use scue_sim::attack::{self, AttackConfig};
+use scue_sim::attack::{Attack, AttackConfig};
+use scue_sim::campaign;
 use scue_sim::experiment::{
     comparison_grid, hash_latency_sweep, metadata_accesses_vs_lazy, Metric,
 };
 use scue_sim::profile::{self, ProfileConfig};
-use scue_sim::torture::{self, TortureConfig};
+use scue_sim::torture::{Torture, TortureConfig};
 use scue_util::obs::span::Clock;
 use scue_util::obs::Json;
 use scue_workloads::Workload;
@@ -141,8 +142,9 @@ fn torture_campaign_is_jobs_invariant() {
         strict_baseline: false,
         strict_windows: false,
     };
+    let torture = Torture { cfg, points: 100 };
     assert_jobs_invariant("torture_campaign.json", |jobs| {
-        torture::campaign_with_jobs(&cfg, 100, &scue::SchemeKind::ALL, jobs)
+        campaign::run(&torture, &scue::SchemeKind::ALL, jobs)
             .to_json()
             .render_doc()
     });
@@ -203,8 +205,9 @@ fn attack_campaign_is_jobs_invariant() {
         ops: 64,
         drive_ops: 120,
     };
+    let attack = Attack { cfg, points: 8 };
     assert_jobs_invariant("attack_campaign.json", |jobs| {
-        attack::campaign_with_jobs(&cfg, 8, &scue::SchemeKind::ALL, jobs)
+        campaign::run(&attack, &scue::SchemeKind::ALL, jobs)
             .to_json()
             .render_doc()
     });
