@@ -15,7 +15,8 @@
 //! ```
 //!
 //! Scale knobs: `SCUE_BENCH_OPS` (engine ops per sample, default 8000)
-//! and `SCUE_BENCH_SAMPLES` (median-of-N, default 5). Measurements run
+//! and `SCUE_BENCH_SAMPLES` (median-of-N, default 5); a value that is
+//! not a positive integer exits 2, naming the variable. Measurements run
 //! strictly serially — a timing snapshot fanned out over workers would
 //! measure scheduler contention, not the engine.
 
@@ -25,8 +26,8 @@ use scue_crypto::hmac::data_line_hmac;
 use scue_crypto::SecretKey;
 use scue_nvm::LineAddr;
 use scue_sim::cli::{self, Flags};
-use scue_util::bench::black_box;
 use scue_util::obs::{alloc, Json};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Schema version stamped into every trajectory document.
@@ -36,12 +37,15 @@ const TRAJECTORY_DOC_KIND: &str = "scue-bench-trajectory";
 /// The PR this snapshot belongs to; names the default output file.
 const PR: u64 = 7;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+const BIN: &str = "bench_trajectory";
+const SYNOPSIS: &str = "[--out PATH]";
+
+/// Environment variable `name` as a positive count, or `default` when
+/// unset; any other value exits 2 with the usage line.
+fn env_count(name: &str, default: u64) -> u64 {
+    let raw = std::env::var(name).ok();
+    cli::env_value(name, raw.as_deref(), default, |&n| n > 0)
+        .unwrap_or_else(|msg| cli::usage_exit(BIN, SYNOPSIS, &msg))
 }
 
 /// Runs the engine loop once on a fresh engine: one persist per op,
@@ -102,7 +106,7 @@ fn primitive_median(samples: u64, iters: u64, mut f: impl FnMut(u64)) -> f64 {
 }
 
 fn main() {
-    let out = cli::parse_or_exit("bench_trajectory", "[--out PATH]", |tokens, _| {
+    let out = cli::parse_or_exit(BIN, SYNOPSIS, |tokens, _| {
         let mut out = format!("BENCH_{PR}.json");
         let mut flags = Flags::new(tokens);
         while let Some(flag) = flags.next() {
@@ -114,8 +118,8 @@ fn main() {
         Ok(out)
     });
 
-    let ops = env_u64("SCUE_BENCH_OPS", 8_000);
-    let samples = env_u64("SCUE_BENCH_SAMPLES", 5);
+    let ops = env_count("SCUE_BENCH_OPS", 8_000);
+    let samples = env_count("SCUE_BENCH_SAMPLES", 5);
     let started = Instant::now();
 
     println!("perf trajectory snapshot (PR {PR})");

@@ -12,8 +12,8 @@
 
 use scue::SchemeKind;
 use scue_bench::{
-    banner, figure_doc, jobs_or_die, print_latency_percentile_table, print_scheme_table,
-    rows_to_json, scale, seed, write_figure_json,
+    figure_doc, print_latency_percentile_table, print_scheme_table, rows_to_json, sweep_or_die,
+    write_figure_json, Sweep,
 };
 use scue_sim::cli::provenance;
 use scue_sim::experiment::{comparison_grid, mean_of, Metric};
@@ -21,10 +21,11 @@ use scue_util::obs::Json;
 use scue_workloads::Workload;
 
 fn main() {
-    let jobs = jobs_or_die("fig09_write_latency");
-    banner("Fig. 9 — write latency normalised to Baseline");
+    let sweep = sweep_or_die("fig09_write_latency");
+    sweep.banner("Fig. 9 — write latency normalised to Baseline");
+    let Sweep { jobs, scale, seed } = sweep;
     let started = std::time::Instant::now();
-    let rows = comparison_grid(Metric::WriteLatency, &Workload::ALL, scale(), seed(), jobs);
+    let rows = comparison_grid(Metric::WriteLatency, &Workload::ALL, scale, seed, jobs);
     let wall_ms = started.elapsed().as_millis() as u64;
     print_scheme_table(&rows);
     println!();
@@ -37,7 +38,7 @@ fn main() {
     for scheme in SchemeKind::FIGURE_SCHEMES {
         means.set(scheme.policy().name, Json::F64(mean_of(&rows, scheme)));
     }
-    let doc = figure_doc("scue-fig09-write-latency")
+    let doc = figure_doc("scue-fig09-write-latency", Some(&sweep))
         .with("rows", rows_to_json(&rows))
         .with("means", means)
         .with("provenance", provenance(jobs, wall_ms));

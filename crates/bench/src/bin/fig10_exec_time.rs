@@ -11,8 +11,7 @@
 
 use scue::SchemeKind;
 use scue_bench::{
-    banner, figure_doc, jobs_or_die, print_scheme_table, rows_to_json, scale, seed,
-    write_figure_json,
+    figure_doc, print_scheme_table, rows_to_json, sweep_or_die, write_figure_json, Sweep,
 };
 use scue_sim::cli::provenance;
 use scue_sim::experiment::{comparison_grid, mean_of, Metric};
@@ -20,10 +19,11 @@ use scue_util::obs::Json;
 use scue_workloads::Workload;
 
 fn main() {
-    let jobs = jobs_or_die("fig10_exec_time");
-    banner("Fig. 10 — execution time normalised to Baseline");
+    let sweep = sweep_or_die("fig10_exec_time");
+    sweep.banner("Fig. 10 — execution time normalised to Baseline");
+    let Sweep { jobs, scale, seed } = sweep;
     let started = std::time::Instant::now();
-    let rows = comparison_grid(Metric::ExecTime, &Workload::ALL, scale(), seed(), jobs);
+    let rows = comparison_grid(Metric::ExecTime, &Workload::ALL, scale, seed, jobs);
     let wall_ms = started.elapsed().as_millis() as u64;
     print_scheme_table(&rows);
     println!();
@@ -34,7 +34,7 @@ fn main() {
     for scheme in SchemeKind::FIGURE_SCHEMES {
         means.set(scheme.policy().name, Json::F64(mean_of(&rows, scheme)));
     }
-    let doc = figure_doc("scue-fig10-exec-time")
+    let doc = figure_doc("scue-fig10-exec-time", Some(&sweep))
         .with("rows", rows_to_json(&rows))
         .with("means", means)
         .with("provenance", provenance(jobs, wall_ms));

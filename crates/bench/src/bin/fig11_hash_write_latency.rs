@@ -8,7 +8,7 @@
 //! `--jobs` count apart from its trailing `provenance` object.
 
 use scue_bench::{
-    banner, figure_doc, hash_means, hash_rows_to_json, jobs_or_die, scale, seed, write_figure_json,
+    figure_doc, hash_means, hash_rows_to_json, sweep_or_die, write_figure_json, Sweep,
 };
 use scue_crypto::engine::PAPER_HASH_LATENCIES;
 use scue_sim::cli::provenance;
@@ -16,10 +16,11 @@ use scue_sim::experiment::{hash_latency_sweep, Metric};
 use scue_workloads::Workload;
 
 fn main() {
-    let jobs = jobs_or_die("fig11_hash_write_latency");
-    banner("Fig. 11 — SCUE write latency vs. hash latency (norm. to 20 cyc)");
+    let sweep = sweep_or_die("fig11_hash_write_latency");
+    sweep.banner("Fig. 11 — SCUE write latency vs. hash latency (norm. to 20 cyc)");
+    let Sweep { jobs, scale, seed } = sweep;
     let started = std::time::Instant::now();
-    let rows = hash_latency_sweep(Metric::WriteLatency, &Workload::ALL, scale(), seed(), jobs);
+    let rows = hash_latency_sweep(Metric::WriteLatency, &Workload::ALL, scale, seed, jobs);
     let wall_ms = started.elapsed().as_millis() as u64;
     print!("{:>12}", "workload");
     for lat in PAPER_HASH_LATENCIES {
@@ -59,7 +60,7 @@ fn main() {
     println!("paper: 1.20x mean (max 1.36x) at 160 cycles");
     println!("sweep wall-clock: {wall_ms} ms at --jobs {jobs}");
 
-    let doc = figure_doc("scue-fig11-hash-write-latency")
+    let doc = figure_doc("scue-fig11-hash-write-latency", Some(&sweep))
         .with("rows", hash_rows_to_json(&rows))
         .with("means", hash_means(&rows))
         .with("provenance", provenance(jobs, wall_ms));

@@ -8,7 +8,7 @@
 //! count apart from its trailing `provenance` object.
 
 use scue_bench::{
-    banner, figure_doc, hash_means, hash_rows_to_json, jobs_or_die, scale, seed, write_figure_json,
+    figure_doc, hash_means, hash_rows_to_json, sweep_or_die, write_figure_json, Sweep,
 };
 use scue_crypto::engine::PAPER_HASH_LATENCIES;
 use scue_sim::cli::provenance;
@@ -16,10 +16,11 @@ use scue_sim::experiment::{hash_latency_sweep, Metric};
 use scue_workloads::Workload;
 
 fn main() {
-    let jobs = jobs_or_die("fig12_hash_exec_time");
-    banner("Fig. 12 — SCUE execution time vs. hash latency (norm. to 20 cyc)");
+    let sweep = sweep_or_die("fig12_hash_exec_time");
+    sweep.banner("Fig. 12 — SCUE execution time vs. hash latency (norm. to 20 cyc)");
+    let Sweep { jobs, scale, seed } = sweep;
     let started = std::time::Instant::now();
-    let rows = hash_latency_sweep(Metric::ExecTime, &Workload::ALL, scale(), seed(), jobs);
+    let rows = hash_latency_sweep(Metric::ExecTime, &Workload::ALL, scale, seed, jobs);
     let wall_ms = started.elapsed().as_millis() as u64;
     print!("{:>12}", "workload");
     for lat in PAPER_HASH_LATENCIES {
@@ -45,7 +46,7 @@ fn main() {
     println!("paper: 1.14x at 160 cycles");
     println!("sweep wall-clock: {wall_ms} ms at --jobs {jobs}");
 
-    let doc = figure_doc("scue-fig12-hash-exec-time")
+    let doc = figure_doc("scue-fig12-hash-exec-time", Some(&sweep))
         .with("rows", hash_rows_to_json(&rows))
         .with("means", hash_means(&rows))
         .with("provenance", provenance(jobs, wall_ms));

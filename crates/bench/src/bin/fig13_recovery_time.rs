@@ -109,7 +109,7 @@ fn main() {
                 .with("counter_summing", Json::U64(rp.summing_fetches))
                 .with("re_hash", Json::U64(rp.rehash_fetches)),
         );
-    let doc = figure_doc("scue-fig13-recovery-time")
+    let doc = figure_doc("scue-fig13-recovery-time", None)
         .with("points", points)
         .with("measured_full_reconstruction", measured)
         .with("provenance", provenance(jobs, wall_ms));

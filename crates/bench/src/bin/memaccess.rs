@@ -4,14 +4,15 @@
 //! Paper reference: PLP ≈ 7.04× Lazy (9-level SIT); BMF-ideal ≈ −8.7 %
 //! vs Lazy; SCUE ≈ Lazy.
 
-use scue_bench::{banner, jobs_or_die, scale, seed};
+use scue_bench::{sweep_or_die, Sweep};
 use scue_sim::experiment::metadata_accesses_vs_lazy;
 use scue_workloads::Workload;
 
 fn main() {
-    let jobs = jobs_or_die("memaccess");
-    banner("§V-E — metadata memory accesses normalised to Lazy");
-    let rows = metadata_accesses_vs_lazy(&Workload::ALL, scale(), seed(), jobs);
+    let sweep = sweep_or_die("memaccess");
+    sweep.banner("§V-E — metadata memory accesses normalised to Lazy");
+    let Sweep { jobs, scale, seed } = sweep;
+    let rows = metadata_accesses_vs_lazy(&Workload::ALL, scale, seed, jobs);
     print!("{:>12}", "workload");
     for (scheme, _) in rows.first().map_or(&[][..], |(_, series)| series) {
         print!(" {:>10}", scheme.policy().name);

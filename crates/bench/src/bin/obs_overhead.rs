@@ -20,8 +20,8 @@
 
 use scue::{SchemeKind, SecureMemConfig, SecureMemory};
 use scue_nvm::LineAddr;
-use scue_util::bench::black_box;
 use scue_util::obs::{alloc, span, EventKind, EventTrace};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The contract from the design docs: observability off must cost <3%.

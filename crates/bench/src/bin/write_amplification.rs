@@ -6,13 +6,14 @@
 //! viewed through the endurance lens.
 
 use scue::SchemeKind;
-use scue_bench::{banner, jobs_or_die, parallel_sweep, scale, seed};
+use scue_bench::{parallel_sweep, sweep_or_die, Sweep};
 use scue_sim::{System, SystemConfig};
 use scue_workloads::Workload;
 
 fn main() {
-    let jobs = jobs_or_die("write_amplification");
-    banner("Ablation — NVM write amplification (writes per persisted line)");
+    let sweep = sweep_or_die("write_amplification");
+    sweep.banner("Ablation — NVM write amplification (writes per persisted line)");
+    let Sweep { jobs, scale, seed } = sweep;
     let workloads = [
         Workload::Array,
         Workload::Queue,
@@ -27,7 +28,7 @@ fn main() {
     println!(" {:>9}", "mean");
     for scheme in SchemeKind::ALL {
         let amps = parallel_sweep(jobs, &workloads, |w| {
-            let trace = w.generate(scale() / 4, seed());
+            let trace = w.generate(scale / 4, seed);
             let mut system = System::new(SystemConfig::figure(scheme));
             let r = system.run_trace(&trace).expect("clean run");
             let persists = r.engine.persists.max(1) as f64;

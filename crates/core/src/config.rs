@@ -384,8 +384,6 @@ pub struct SecureMemConfig {
     pub key_seed: u64,
     /// HMAC latency in cycles (Table II: {20, 40, 80, 160}, default 40).
     pub hash_latency: u64,
-    /// Hash-engine issue ports (SIT computes branch HMACs in parallel).
-    pub hash_ports: u64,
     /// Metadata cache capacity in bytes (Table II: 256 KB).
     pub mdcache_bytes: usize,
     /// Metadata cache associativity (Table II: 8).
@@ -393,10 +391,6 @@ pub struct SecureMemConfig {
     /// Whether eADR is present: on crash, cache contents flush to NVM
     /// (without any computation, §III-C). Without it only the WPQ drains.
     pub eadr: bool,
-    /// User-data WPQ entries (Table II: 64).
-    pub user_wpq: usize,
-    /// Metadata WPQ entries (Table II: 10).
-    pub meta_wpq: usize,
     /// Whether recovery may attempt Osiris-style torn-counter repair
     /// (§VII composition) when a leaf MAC mismatches: replay stale minors
     /// forward until the stored data-line MAC verifies, then retry.
@@ -415,12 +409,9 @@ impl SecureMemConfig {
             geometry: TreeGeometry::paper_16gb(),
             key_seed: 0x5C0E,
             hash_latency: DEFAULT_HASH_LATENCY,
-            hash_ports: 16,
             mdcache_bytes: 256 * 1024,
             mdcache_ways: 8,
             eadr: false,
-            user_wpq: 64,
-            meta_wpq: 10,
             counter_repair: false,
         }
     }
@@ -464,6 +455,7 @@ impl SecureMemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scue_nvm::wpq::{META_WPQ_ENTRIES, USER_WPQ_ENTRIES};
 
     #[test]
     fn paper_config_matches_table_ii() {
@@ -471,8 +463,7 @@ mod tests {
         assert_eq!(cfg.hash_latency, 40);
         assert_eq!(cfg.mdcache_bytes, 256 * 1024);
         assert_eq!(cfg.mdcache_ways, 8);
-        assert_eq!(cfg.user_wpq, 64);
-        assert_eq!(cfg.meta_wpq, 10);
+        assert_eq!((USER_WPQ_ENTRIES, META_WPQ_ENTRIES), (64, 10));
         assert_eq!(cfg.geometry.total_levels(), 9);
     }
 

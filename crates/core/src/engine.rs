@@ -34,7 +34,7 @@ use crate::recovery::{self, RecoveryOutcome, RecoveryReport};
 use crate::stats::EngineStats;
 use scue_cache::{Eviction, MetadataCache};
 use scue_crypto::cme::{self, CounterBlock, IncrementOutcome};
-use scue_crypto::engine::HashEngine;
+use scue_crypto::engine::{HashEngine, HASH_PORTS};
 use scue_crypto::hmac::{bmt_child_hmac, data_line_hmac};
 use scue_crypto::SecretKey;
 use scue_itree::geometry::{NodeId, Parent};
@@ -191,14 +191,9 @@ impl SecureMemory {
     fn with_store(cfg: SecureMemConfig, store: scue_nvm::NvmStore) -> Self {
         let key = SecretKey::from_seed(cfg.key_seed);
         let ctx = SitContext::new(cfg.geometry.clone(), key);
-        let mc = MemoryController::new(
-            store,
-            scue_nvm::timing::PcmDevice::paper(),
-            cfg.user_wpq,
-            cfg.meta_wpq,
-        );
+        let mc = MemoryController::paper(store);
         let mdcache = MetadataCache::with_bytes(cfg.mdcache_bytes, cfg.mdcache_ways);
-        let hash = HashEngine::with_ports(cfg.hash_latency, cfg.hash_ports);
+        let hash = HashEngine::with_ports(cfg.hash_latency, HASH_PORTS);
         Self {
             cfg,
             ctx,

@@ -23,6 +23,10 @@ pub const PAPER_HASH_LATENCIES: [u64; 4] = [20, 40, 80, 160];
 /// Default hash latency (Table II).
 pub const DEFAULT_HASH_LATENCY: u64 = 40;
 
+/// Issue ports of the secure-memory engine's hash unit: SIT computes a
+/// branch's HMACs in parallel.
+pub const HASH_PORTS: u64 = 16;
+
 /// A pipelined fixed-latency hash unit.
 ///
 /// # Example

@@ -7,7 +7,7 @@
 //! persistent, and is just as tamperable as the line itself.
 //!
 //! The sideband is modelled as a map from line address to MAC, with the
-//! same sparse-zero, snapshot and tamper semantics as
+//! same sparse-zero and tamper semantics as
 //! [`scue_nvm::NvmStore`]. Intermediate SIT nodes do *not* use the
 //! sideband: their HMAC fits inside the 64 B node (Fig. 4).
 
@@ -69,18 +69,6 @@ impl MacSideband {
         self.macs.iter().map(|(&a, &m)| (a, m))
     }
 
-    /// Captures the sideband for crash experiments.
-    pub fn snapshot(&self) -> MacSidebandSnapshot {
-        MacSidebandSnapshot {
-            macs: self.macs.clone(),
-        }
-    }
-
-    /// Restores a captured sideband.
-    pub fn restore(&mut self, snapshot: &MacSidebandSnapshot) {
-        self.macs = snapshot.macs.clone();
-    }
-
     /// Adversarial overwrite (the ECC bits are on the stolen DIMM too).
     /// Returns the previous MAC for replay recording.
     pub fn tamper(&mut self, addr: LineAddr, mac: u64) -> u64 {
@@ -88,12 +76,6 @@ impl MacSideband {
         self.set(addr, mac);
         old
     }
-}
-
-/// A captured sideband image.
-#[derive(Debug, Clone)]
-pub struct MacSidebandSnapshot {
-    macs: HashMap<LineAddr, u64>,
 }
 
 #[cfg(test)]
@@ -121,18 +103,6 @@ mod tests {
         sb.set(LineAddr::new(1), 42);
         sb.set(LineAddr::new(1), 0);
         assert!(sb.is_empty());
-    }
-
-    #[test]
-    fn snapshot_restore() {
-        let mut sb = MacSideband::new();
-        sb.set(LineAddr::new(1), 42);
-        let snap = sb.snapshot();
-        sb.set(LineAddr::new(1), 7);
-        sb.set(LineAddr::new(2), 8);
-        sb.restore(&snap);
-        assert_eq!(sb.get(LineAddr::new(1)), 42);
-        assert_eq!(sb.get(LineAddr::new(2)), 0);
     }
 
     #[test]

@@ -148,16 +148,6 @@ impl MemBackend {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Replaces the whole image (snapshot restore).
-    pub(crate) fn replace_lines(&mut self, lines: HashMap<LineAddr, Line>) {
-        self.lines = lines;
-    }
-
-    /// Borrowed view of the line map (snapshot capture).
-    pub(crate) fn line_map(&self) -> &HashMap<LineAddr, Line> {
-        &self.lines
-    }
 }
 
 impl Backend for MemBackend {

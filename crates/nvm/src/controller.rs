@@ -12,7 +12,9 @@ use crate::backend::IoError;
 use crate::fault::{self, FaultRecord, NvmFault, TornPrefix, WORDS_PER_LINE};
 use crate::store::{Line, NvmStore};
 use crate::timing::{PcmDevice, PcmTiming};
-use crate::wpq::{Enqueued, InFlight, WpqStats, WritePendingQueue};
+use crate::wpq::{
+    Enqueued, InFlight, WpqStats, WritePendingQueue, META_WPQ_ENTRIES, USER_WPQ_ENTRIES,
+};
 use scue_util::obs::span;
 
 /// What a memory access carries — the paper separates user-data traffic
@@ -68,9 +70,9 @@ const CONTROLLER_OVERHEAD: u64 = 14;
 /// # Example
 ///
 /// ```
-/// use scue_nvm::{AccessKind, LineAddr, MemoryController};
+/// use scue_nvm::{AccessKind, LineAddr, MemoryController, NvmStore};
 ///
-/// let mut mc = MemoryController::paper();
+/// let mut mc = MemoryController::paper(NvmStore::new());
 /// let line = [9u8; 64];
 /// let accepted = mc.write(LineAddr::new(4), line, 0, AccessKind::UserData);
 /// let (data, done) = mc.read(LineAddr::new(4), accepted.accepted, AccessKind::UserData);
@@ -103,10 +105,11 @@ impl MemoryController {
         }
     }
 
-    /// The paper's configuration: 16 GB PCM, 64-entry user WPQ, 10-entry
-    /// metadata WPQ.
-    pub fn paper() -> Self {
-        Self::new(NvmStore::new(), PcmDevice::paper(), 64, 10)
+    /// The paper's configuration over `store`: 16 GB PCM, 64-entry user
+    /// WPQ, 10-entry metadata WPQ.
+    pub fn paper(store: NvmStore) -> Self {
+        let device = PcmDevice::paper();
+        Self::new(store, device, USER_WPQ_ENTRIES, META_WPQ_ENTRIES)
     }
 
     /// A small fast controller for unit tests.
@@ -301,7 +304,7 @@ impl MemoryController {
 
 impl Default for MemoryController {
     fn default() -> Self {
-        Self::paper()
+        Self::paper(NvmStore::new())
     }
 }
 

@@ -5,9 +5,8 @@
 //!
 //! * [`addr`] — line-granular physical addressing shared by every layer.
 //! * [`store`] — the *functional* NVM: a sparse, zero-filled map of 64 B
-//!   lines, with snapshot/restore for crash experiments and an explicit
-//!   tampering interface for the attacker (NVM contents are untrusted in
-//!   the threat model, §II-A).
+//!   lines, with an explicit tampering interface for the attacker (NVM
+//!   contents are untrusted in the threat model, §II-A).
 //! * [`timing`] — the *timing* NVM: banked PCM with the paper's
 //!   `tRCD/tCL/tCWD/tFAW/tWTR/tWR = 48/15/13/50/7.5/300 ns` parameters,
 //!   row-buffer hits and a tFAW activation window.

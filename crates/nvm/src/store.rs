@@ -1,4 +1,4 @@
-//! The functional NVM image: sparse, zero-filled, snapshot-able, attackable.
+//! The functional NVM image: sparse, zero-filled, attackable.
 //!
 //! A 16 GB device holds 2^28 lines, far more than any trace touches, so the
 //! default backend is a hash map of touched lines over an implicit all-zero
@@ -291,36 +291,6 @@ impl NvmStore {
         self.backend.get().last_io_error()
     }
 
-    /// Captures the full image for later [`NvmStore::restore`] — used by
-    /// crash experiments to model "the state at power-fail".
-    pub fn snapshot(&self) -> NvmSnapshot {
-        let lines = match &self.backend {
-            StoreBackend::Mem(b) => b.line_map().clone(),
-            StoreBackend::File(b) => b.lines().into_iter().collect(),
-        };
-        NvmSnapshot { lines }
-    }
-
-    /// Restores a previously captured image (write statistics unchanged).
-    pub fn restore(&mut self, snapshot: &NvmSnapshot) {
-        match &mut self.backend {
-            StoreBackend::Mem(b) => b.replace_lines(snapshot.lines.clone()),
-            StoreBackend::File(b) => {
-                // Zero everything not in the snapshot, then lay the
-                // snapshot down — bypassing facade accounting, like the
-                // in-memory wholesale replacement.
-                for (addr, _) in b.lines() {
-                    if !snapshot.lines.contains_key(&addr) {
-                        b.write_line(addr, ZERO_LINE);
-                    }
-                }
-                for (&addr, &line) in &snapshot.lines {
-                    b.write_line(addr, line);
-                }
-            }
-        }
-    }
-
     /// Adversarial mutation of NVM content, bypassing all accounting.
     ///
     /// Returns the previous content so attacks can record old (data, MAC)
@@ -339,19 +309,6 @@ impl NvmStore {
                 "address {addr} beyond NVM capacity of {cap} lines"
             );
         }
-    }
-}
-
-/// A captured NVM image (see [`NvmStore::snapshot`]).
-#[derive(Debug, Clone)]
-pub struct NvmSnapshot {
-    lines: HashMap<LineAddr, Line>,
-}
-
-impl NvmSnapshot {
-    /// Number of non-zero lines in the snapshot.
-    pub fn touched_lines(&self) -> usize {
-        self.lines.len()
     }
 }
 
@@ -382,18 +339,6 @@ mod tests {
         assert_eq!(store.touched_lines(), 0);
         assert_eq!(store.read_line(LineAddr::new(1)), ZERO_LINE);
         assert_eq!(store.total_writes(), 2);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut store = NvmStore::new();
-        store.write_line(LineAddr::new(3), [3u8; LINE_BYTES]);
-        let snap = store.snapshot();
-        store.write_line(LineAddr::new(3), [4u8; LINE_BYTES]);
-        store.write_line(LineAddr::new(9), [9u8; LINE_BYTES]);
-        store.restore(&snap);
-        assert_eq!(store.read_line(LineAddr::new(3)), [3u8; LINE_BYTES]);
-        assert_eq!(store.read_line(LineAddr::new(9)), ZERO_LINE);
     }
 
     #[test]

@@ -11,6 +11,12 @@ use crate::addr::{Cycle, LineAddr};
 use crate::timing::PcmDevice;
 use std::collections::VecDeque;
 
+/// User-data WPQ entries (Table II: 64).
+pub const USER_WPQ_ENTRIES: usize = 64;
+
+/// Metadata WPQ entries (Table II: 10).
+pub const META_WPQ_ENTRIES: usize = 10;
+
 /// Outcome of enqueueing one write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Enqueued {

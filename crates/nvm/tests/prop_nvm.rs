@@ -25,27 +25,6 @@ proptest! {
         }
     }
 
-    /// Snapshot/restore always returns to the exact captured image.
-    #[test]
-    fn snapshot_restore_is_exact(
-        before in prop::collection::vec((0u64..32, 1u8..=255), 0..50),
-        after in prop::collection::vec((0u64..32, any::<u8>()), 0..50),
-    ) {
-        let mut store = NvmStore::new();
-        for (addr, fill) in &before {
-            store.write_line(LineAddr::new(*addr), [*fill; 64]);
-        }
-        let image: Vec<_> = (0..32u64).map(|a| store.read_line(LineAddr::new(a))).collect();
-        let snap = store.snapshot();
-        for (addr, fill) in &after {
-            store.write_line(LineAddr::new(*addr), [*fill; 64]);
-        }
-        store.restore(&snap);
-        for (a, expected) in image.into_iter().enumerate() {
-            prop_assert_eq!(store.read_line(LineAddr::new(a as u64)), expected);
-        }
-    }
-
     /// WPQ never exceeds its capacity and acceptance times are monotonic
     /// for a monotonic arrival stream.
     #[test]
@@ -91,7 +70,7 @@ proptest! {
     /// returns the latest data regardless of queue state.
     #[test]
     fn controller_read_after_write(ops in prop::collection::vec((0u64..64, any::<u8>()), 1..100)) {
-        let mut mc = MemoryController::paper();
+        let mut mc = MemoryController::paper(NvmStore::new());
         let mut now = 0u64;
         let mut latest: HashMap<u64, [u8; 64]> = HashMap::new();
         for (addr, fill) in ops {

@@ -158,7 +158,7 @@ fn main() {
         .with_eadr(args.eadr);
     let cfg = SystemConfig {
         mem,
-        ..SystemConfig::paper(args.scheme)
+        ..SystemConfig::figure(args.scheme)
     }
     .with_cores(args.cores);
     let mut system = System::new(cfg);

@@ -18,15 +18,6 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's Table II system for the given scheme.
-    pub fn paper(scheme: SchemeKind) -> Self {
-        Self {
-            mem: SecureMemConfig::paper(scheme),
-            hierarchy: HierarchyConfig::paper(),
-            cores: 1,
-        }
-    }
-
     /// A small, fast system for unit tests: a 64 MB data region (large
     /// enough for every workload generator's footprint), small caches.
     pub fn fast(scheme: SchemeKind) -> Self {
@@ -39,15 +30,13 @@ impl SystemConfig {
         }
     }
 
-    /// A mid-size system used by the figure harnesses: the paper's
-    /// 16 GB geometry and 256 KB metadata cache, with the real
-    /// hierarchy, but sized so full runs complete in seconds.
+    /// The paper's Table II system for the given scheme, on one core:
+    /// the 16 GB geometry, the 256 KB metadata cache and the real
+    /// hierarchy. The figure harnesses, `scue-simulate` and perfbench
+    /// run on it; how long a run takes is set by its trace length.
     pub fn figure(scheme: SchemeKind) -> Self {
         Self {
-            mem: SecureMemConfig {
-                geometry: TreeGeometry::paper_16gb(),
-                ..SecureMemConfig::paper(scheme)
-            },
+            mem: SecureMemConfig::paper(scheme),
             hierarchy: HierarchyConfig::paper(),
             cores: 1,
         }
@@ -72,7 +61,7 @@ mod tests {
 
     #[test]
     fn paper_config_is_table_ii() {
-        let cfg = SystemConfig::paper(SchemeKind::Scue);
+        let cfg = SystemConfig::figure(SchemeKind::Scue);
         assert_eq!(cfg.mem.hash_latency, 40);
         assert_eq!(cfg.hierarchy.l3_bytes, 4 * 1024 * 1024);
         assert_eq!(cfg.mem.geometry.total_levels(), 9);

@@ -1,9 +1,10 @@
-//! Zero-dependency observability substrate: histograms, counters,
-//! event tracing, epoch sampling, and a small JSON value type.
+//! Zero-dependency observability substrate: histograms, event tracing,
+//! epoch sampling, span profiling, allocation counting, and a small
+//! JSON value type.
 //!
 //! Everything here is allocation-light and crates-io-free so it can be
 //! threaded through every simulator hot path. The design contract
-//! (enforced by `benches/obs_overhead` in `scue-bench`):
+//! (enforced by the `obs_overhead` bin in `scue-bench`):
 //!
 //! * **Counters and histograms are always on** — a [`Histogram::record`]
 //!   is a handful of integer ops on a fixed `Copy` array.
@@ -22,14 +23,12 @@
 
 #[allow(unsafe_code)]
 pub mod alloc;
-mod counters;
 mod hist;
 mod json;
 mod sampler;
 pub mod span;
 mod trace;
 
-pub use counters::CounterRegistry;
 pub use hist::{Histogram, BUCKETS};
 pub use json::Json;
 pub use sampler::{EpochSample, EpochSampler};

@@ -3,7 +3,7 @@
 //! lossless (merge of splits == whole), and `par::run_indexed` must be
 //! schedule-independent with labelled first-cell panic propagation.
 
-use scue_util::obs::{CounterRegistry, Histogram};
+use scue_util::obs::Histogram;
 use scue_util::par;
 use scue_util::prop::{self, collection, prelude::*, run_property};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,23 +15,6 @@ fn hist_of(samples: &[u64]) -> Histogram {
         h.record(v);
     }
     h
-}
-
-/// Builds a registry from `(name_index, delta)` pairs over a small
-/// fixed name universe (so merges actually collide on names).
-fn registry_of(entries: &[(u8, u64)]) -> CounterRegistry {
-    const NAMES: [&str; 5] = [
-        "wpq.stalls",
-        "mem.reads",
-        "mem.writes",
-        "hash.calls",
-        "evictions",
-    ];
-    let mut c = CounterRegistry::new();
-    for &(name, delta) in entries {
-        c.add(NAMES[name as usize % NAMES.len()], delta);
-    }
-    c
 }
 
 proptest! {
@@ -70,24 +53,6 @@ proptest! {
         let mut ba = hist_of(&b);
         ba.merge(&hist_of(&a));
         prop_assert_eq!(ab, ba);
-    }
-
-    /// CounterRegistry::merge of any split == the registry of the
-    /// whole entry stream, regardless of merge order.
-    #[test]
-    fn counter_merge_of_splits_equals_whole(
-        entries in collection::vec((any::<u8>(), 0u64..1_000), 0..60),
-        cut in any::<usize>(),
-    ) {
-        let cut = if entries.is_empty() { 0 } else { cut % (entries.len() + 1) };
-        let whole = registry_of(&entries);
-        let mut merged = registry_of(&entries[..cut]);
-        merged.merge(&registry_of(&entries[cut..]));
-        prop_assert_eq!(&merged, &whole);
-        let mut reversed = registry_of(&entries[cut..]);
-        reversed.merge(&registry_of(&entries[..cut]));
-        prop_assert_eq!(&reversed, &whole);
-        prop_assert_eq!(merged.to_json().render(), whole.to_json().render());
     }
 
     /// run_indexed returns serial-identical results at any job count,

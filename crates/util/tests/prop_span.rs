@@ -1,7 +1,7 @@
 //! Property tests for the span profiler's merge contract: merging
 //! per-worker [`SpanProfile`]s must be commutative and lossless (merge
 //! of splits == the profile of the whole run), the same battery the
-//! histogram and counter-registry merges pass in `prop_par.rs` — plus
+//! histogram merge passes in `prop_par.rs` — plus
 //! a live check that splitting an actual instrumented run across two
 //! `take_thread_profile` harvests loses nothing.
 
