@@ -169,6 +169,26 @@ if ! diff <(strip_provenance "$metrics_tmp/attack.json") \
 fi
 echo "attack wall-clock: --jobs 4: $((t9 - t8)) ms, --jobs 1: $((t10 - t9)) ms"
 
+echo "==> instant figure artefacts: fresh runs vs committed results/"
+# These four bins are deterministic and finish in well under a second,
+# so their committed outputs are diffed against fresh runs. The `wrote`
+# line names the output directory (SCUE_BENCH_DIR) and the JSON's
+# provenance records the job count and wall-clock, so both are dropped.
+for bin in overheads table1_attacks crash_window fig13_recovery_time; do
+    SCUE_BENCH_DIR="$metrics_tmp" cargo run --release --offline -q -p scue-bench \
+        --bin "$bin" > "$metrics_tmp/$bin.txt"
+    if ! diff <(grep -v '^wrote ' "$metrics_tmp/$bin.txt") \
+              <(grep -v '^wrote ' "results/$bin.txt"); then
+        echo "ERROR: committed results/$bin.txt diverged from a fresh run" >&2
+        exit 1
+    fi
+done
+if ! diff <(strip_provenance "$metrics_tmp/fig13_recovery_time.json") \
+          <(strip_provenance results/fig13_recovery_time.json); then
+    echo "ERROR: committed results/fig13_recovery_time.json diverged from a fresh run" >&2
+    exit 1
+fi
+
 echo "==> span-profiler smoke (scue-profile, monotonic clock, coverage >= 90%)"
 # check-metrics enforces the attribution budget on monotonic documents:
 # at least 90% of engine wall time must land in named spans.
