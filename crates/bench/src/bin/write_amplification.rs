@@ -28,7 +28,7 @@ fn main() {
     println!(" {:>9}", "mean");
     for scheme in SchemeKind::ALL {
         let amps = parallel_sweep(jobs, &workloads, |w| {
-            let trace = w.generate(scale / 4, seed);
+            let trace = w.generate(scale, seed);
             let mut system = System::new(SystemConfig::figure(scheme));
             let r = system.run_trace(&trace).expect("clean run");
             let persists = r.engine.persists.max(1) as f64;

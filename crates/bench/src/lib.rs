@@ -159,27 +159,10 @@ pub fn print_latency_percentile_table(rows: &[WorkloadRow]) {
     }
 }
 
-/// Where figure twins land: `SCUE_BENCH_DIR`, else the workspace
-/// `results/` directory if discoverable from the manifest dir, else
-/// `./results`.
+/// Where figure twins land: `SCUE_BENCH_DIR`, else `results` under the
+/// working directory (the recipes run from the workspace root).
 pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("SCUE_BENCH_DIR") {
-        return PathBuf::from(dir);
-    }
-    if let Ok(manifest) = std::env::var("CARGO_MANIFEST_DIR") {
-        let mut dir = PathBuf::from(manifest);
-        // Walk up to the workspace root (the first ancestor holding a
-        // `results/` dir).
-        for _ in 0..4 {
-            if dir.join("results").is_dir() {
-                return dir.join("results");
-            }
-            if !dir.pop() {
-                break;
-            }
-        }
-    }
-    PathBuf::from("results")
+    PathBuf::from(std::env::var("SCUE_BENCH_DIR").unwrap_or_else(|_| "results".to_string()))
 }
 
 /// Writes a figure's machine-readable twin to `<name>.json` in

@@ -1366,14 +1366,7 @@ impl SecureMemory {
         // Eager: in-flight propagation lost. PLP applied its updates
         // synchronously, so nothing is pending for it.
         self.pending_root.clear();
-        let mut records = if let Some(prefix) = plan.tear_prefix {
-            self.mc.crash_with_torn_prefix(at, prefix)
-        } else if plan.tear_in_flight {
-            self.mc.crash_with_tearing(at)
-        } else {
-            self.mc.crash();
-            Vec::new()
-        };
+        let mut records = self.mc.crash_with_tearing(at, plan.tearing);
         if self.cfg.eadr {
             let entries = self.mdcache.drain_all();
             for ev in entries {

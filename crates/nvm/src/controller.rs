@@ -9,12 +9,10 @@
 
 use crate::addr::{Cycle, LineAddr};
 use crate::backend::IoError;
-use crate::fault::{self, FaultRecord, NvmFault, TornPrefix, WORDS_PER_LINE};
+use crate::fault::{self, FaultRecord, NvmFault, Tearing, WORDS_PER_LINE};
 use crate::store::{Line, NvmStore};
 use crate::timing::{PcmDevice, PcmTiming};
-use crate::wpq::{
-    Enqueued, InFlight, WpqStats, WritePendingQueue, META_WPQ_ENTRIES, USER_WPQ_ENTRIES,
-};
+use crate::wpq::{Enqueued, WpqStats, WritePendingQueue, META_WPQ_ENTRIES, USER_WPQ_ENTRIES};
 use scue_util::obs::span;
 
 /// What a memory access carries — the paper separates user-data traffic
@@ -196,70 +194,62 @@ impl MemoryController {
         self.device.reset_occupancy();
     }
 
-    /// WPQ entries (user + metadata) still draining to media at `now`.
-    pub fn in_flight_writes(&self, now: Cycle) -> Vec<InFlight> {
-        let mut all = self.user_wpq.in_flight_at(now);
-        all.extend(self.meta_wpq.in_flight_at(now));
-        all
-    }
-
-    /// Models a power failure where the ADR flush *fails*: every WPQ entry
-    /// still draining at `at` is torn at 8-byte granularity, proportional
-    /// to how far its media write had progressed. Requires the store's
-    /// history journal (see [`NvmStore::track_history`]); entries without
-    /// recorded history are left untouched and reported as unapplied.
+    /// Models a power failure whose ADR flush tears WPQ entries still
+    /// draining at `at`, as `tearing` describes: each torn entry keeps
+    /// only a prefix of 8-byte words of its write.
     ///
-    /// Returns one [`FaultRecord`] per torn entry, then performs the
-    /// normal [`MemoryController::crash`] teardown.
-    pub fn crash_with_tearing(&mut self, at: Cycle) -> Vec<FaultRecord> {
-        let mut records = Vec::new();
-        for entry in self.in_flight_writes(at) {
-            let span = entry.drained.saturating_sub(entry.accepted).max(1);
-            let progress = at.saturating_sub(entry.accepted).min(span);
-            let words_new = ((progress as u128 * WORDS_PER_LINE as u128) / span as u128) as usize;
-            if words_new < WORDS_PER_LINE {
-                records.push(fault::apply(
-                    &mut self.store,
-                    NvmFault::TornWrite {
-                        addr: entry.addr,
-                        words_new,
-                    },
-                ));
-            }
-        }
-        self.crash();
-        records
-    }
-
-    /// Models a power failure whose ADR flush stopped at an exact
-    /// abstract drain prefix of the **metadata** WPQ: the first
-    /// `prefix.fully_drained` in-flight entries (FIFO order) commit
-    /// whole, the next commits only its first `prefix.words_new` 8-byte
-    /// words, and every entry behind it commits nothing. User-data
-    /// entries drain whole (the prefix describes metadata durability
-    /// only — the model checker's abstraction).
+    /// * [`Tearing::InFlight`] tears every in-flight entry in proportion
+    ///   to how far its media write had progressed.
+    /// * [`Tearing::Prefix`] stops the **metadata** WPQ at an exact
+    ///   abstract drain prefix: the first `fully_drained` in-flight
+    ///   entries (FIFO order) commit whole, the next commits only its
+    ///   first `words_new` words, and every entry behind it commits
+    ///   nothing. User-data entries drain whole (the model checker's
+    ///   abstraction).
+    /// * [`Tearing::None`] tears nothing.
     ///
-    /// Requires the store's history journal, like
-    /// [`MemoryController::crash_with_tearing`]. Returns one
-    /// [`FaultRecord`] per entry that did not commit whole.
-    pub fn crash_with_torn_prefix(&mut self, at: Cycle, prefix: TornPrefix) -> Vec<FaultRecord> {
-        let mut records = Vec::new();
-        for (pos, entry) in self.meta_wpq.in_flight_at(at).iter().enumerate() {
-            let words_new = match pos.cmp(&prefix.fully_drained) {
-                std::cmp::Ordering::Less => WORDS_PER_LINE,
-                std::cmp::Ordering::Equal => prefix.words_new.min(WORDS_PER_LINE),
-                std::cmp::Ordering::Greater => 0,
-            };
-            if words_new < WORDS_PER_LINE {
-                records.push(fault::apply(
-                    &mut self.store,
-                    NvmFault::TornWrite {
-                        addr: entry.addr,
-                        words_new,
-                    },
-                ));
-            }
-        }
+    /// Requires the store's history journal (see
+    /// [`NvmStore::track_history`]); entries without recorded history
+    /// are left untouched and reported as unapplied. Returns one
+    /// [`FaultRecord`] per entry that did not commit whole, then performs
+    /// the normal [`MemoryController::crash`] teardown.
+    pub fn crash_with_tearing(&mut self, at: Cycle, tearing: Tearing) -> Vec<FaultRecord> {
+        let torn: Vec<(LineAddr, usize)> = match tearing {
+            Tearing::None => Vec::new(),
+            Tearing::InFlight => self
+                .user_wpq
+                .in_flight_at(at)
+                .into_iter()
+                .chain(self.meta_wpq.in_flight_at(at))
+                .map(|entry| {
+                    let span = entry.drained.saturating_sub(entry.accepted).max(1);
+                    let progress = at.saturating_sub(entry.accepted).min(span);
+                    let words = (progress as u128 * WORDS_PER_LINE as u128) / span as u128;
+                    (entry.addr, words as usize)
+                })
+                .collect(),
+            Tearing::Prefix(prefix) => self
+                .meta_wpq
+                .in_flight_at(at)
+                .iter()
+                .enumerate()
+                .map(|(pos, entry)| {
+                    let words = match pos.cmp(&prefix.fully_drained) {
+                        std::cmp::Ordering::Less => WORDS_PER_LINE,
+                        std::cmp::Ordering::Equal => prefix.words_new.min(WORDS_PER_LINE),
+                        std::cmp::Ordering::Greater => 0,
+                    };
+                    (entry.addr, words)
+                })
+                .collect(),
+        };
+        let records = torn
+            .into_iter()
+            .filter(|&(_, words_new)| words_new < WORDS_PER_LINE)
+            .map(|(addr, words_new)| {
+                fault::apply(&mut self.store, NvmFault::TornWrite { addr, words_new })
+            })
+            .collect();
         self.crash();
         records
     }
@@ -311,6 +301,7 @@ impl Default for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::TornPrefix;
 
     #[test]
     fn write_then_read_roundtrips() {
@@ -374,7 +365,7 @@ mod tests {
         let horizon = mc.drained_at();
         let enq = mc.write(a, [2; 64], horizon, AccessKind::UserData);
         let mid = enq.accepted + (enq.drained - enq.accepted) / 2;
-        let records = mc.crash_with_tearing(mid);
+        let records = mc.crash_with_tearing(mid, Tearing::InFlight);
         assert_eq!(records.len(), 1);
         assert!(records[0].applied);
         let line = mc.peek(a);
@@ -388,7 +379,7 @@ mod tests {
         let mut mc = MemoryController::for_tests();
         mc.store_mut().track_history(true);
         mc.write(LineAddr::new(3), [1; 64], 0, AccessKind::UserData);
-        let records = mc.crash_with_tearing(mc.drained_at());
+        let records = mc.crash_with_tearing(mc.drained_at(), Tearing::InFlight);
         assert!(records.is_empty(), "nothing in flight at the horizon");
         assert_eq!(mc.peek(LineAddr::new(3)), [1; 64]);
     }
@@ -402,7 +393,7 @@ mod tests {
         let horizon = mc.drained_at();
         let enq = mc.write(a, [2; 64], horizon, AccessKind::UserData);
         // Crash "before" the entry was accepted: zero words persisted.
-        let records = mc.crash_with_tearing(enq.accepted.saturating_sub(1));
+        let records = mc.crash_with_tearing(enq.accepted.saturating_sub(1), Tearing::InFlight);
         assert_eq!(records.len(), 1);
         assert!(records[0].applied);
         assert_eq!(mc.peek(a), [1; 64], "write fully reverted");
@@ -424,12 +415,12 @@ mod tests {
     #[test]
     fn torn_prefix_splits_the_metadata_queue_by_position() {
         let (mut mc, horizon) = two_inflight_meta_rewrites();
-        let records = mc.crash_with_torn_prefix(
+        let records = mc.crash_with_tearing(
             horizon,
-            TornPrefix {
+            Tearing::Prefix(TornPrefix {
                 fully_drained: 1,
                 words_new: 2,
-            },
+            }),
         );
         assert_eq!(mc.peek(LineAddr::new(10)), [1; 64], "position 0 whole");
         let second = mc.peek(LineAddr::new(11));
@@ -443,12 +434,12 @@ mod tests {
     #[test]
     fn torn_prefix_drops_entries_behind_the_tear() {
         let (mut mc, horizon) = two_inflight_meta_rewrites();
-        let records = mc.crash_with_torn_prefix(
+        let records = mc.crash_with_tearing(
             horizon,
-            TornPrefix {
+            Tearing::Prefix(TornPrefix {
                 fully_drained: 0,
                 words_new: 0,
-            },
+            }),
         );
         assert_eq!(mc.peek(LineAddr::new(10)), [0xFF; 64], "write reverted");
         assert_eq!(mc.peek(LineAddr::new(11)), [0xFF; 64], "write reverted");
@@ -461,12 +452,12 @@ mod tests {
         let mut mc = MemoryController::for_tests();
         mc.store_mut().track_history(true);
         mc.write(LineAddr::new(30), [7; 64], 0, AccessKind::UserData);
-        let records = mc.crash_with_torn_prefix(
+        let records = mc.crash_with_tearing(
             0,
-            TornPrefix {
+            Tearing::Prefix(TornPrefix {
                 fully_drained: 0,
                 words_new: 0,
-            },
+            }),
         );
         assert!(records.is_empty(), "user queue is outside the prefix");
         assert_eq!(mc.peek(LineAddr::new(30)), [7; 64], "ADR drained it whole");

@@ -101,20 +101,26 @@ pub struct TornPrefix {
     pub words_new: usize,
 }
 
-/// What to break when a crash is injected.
-///
-/// `tear_in_flight` asks the controller to tear every WPQ entry still
-/// draining at the crash cycle (modelling an ADR failure); `tear_prefix`
-/// pins the tearing to an exact drain prefix instead (the model
-/// checker's lowering — it wins over `tear_in_flight` when both are
-/// set); `faults` are explicit media faults applied after the crash
-/// settles.
+/// How a crash tears the WPQ entries still draining to media.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Tearing {
+    /// ADR works: every accepted write drains whole.
+    #[default]
+    None,
+    /// ADR fails: every in-flight entry (user data and metadata) keeps
+    /// the word prefix proportional to its drain progress.
+    InFlight,
+    /// The metadata WPQ stops at an exact abstract drain prefix (the
+    /// model checker's lowering); user-data entries drain whole.
+    Prefix(TornPrefix),
+}
+
+/// What to break when a crash is injected: how in-flight WPQ entries
+/// tear, then explicit media faults applied after the crash settles.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Tear WPQ entries still draining at the crash cycle.
-    pub tear_in_flight: bool,
-    /// Tear the metadata WPQ at an exact abstract drain prefix.
-    pub tear_prefix: Option<TornPrefix>,
+    /// How the crash tears in-flight WPQ entries.
+    pub tearing: Tearing,
     /// Explicit media faults applied to the post-crash image, in order.
     pub faults: Vec<NvmFault>,
 }
@@ -128,7 +134,7 @@ impl FaultPlan {
     /// A crash that tears all in-flight WPQ entries.
     pub fn tearing() -> Self {
         Self {
-            tear_in_flight: true,
+            tearing: Tearing::InFlight,
             ..Self::default()
         }
     }
@@ -138,7 +144,7 @@ impl FaultPlan {
     /// lowering).
     pub fn tearing_prefix(prefix: TornPrefix) -> Self {
         Self {
-            tear_prefix: Some(prefix),
+            tearing: Tearing::Prefix(prefix),
             ..Self::default()
         }
     }
@@ -310,10 +316,10 @@ pub fn apply_durable(
     fault: DurableFault,
 ) -> Result<DurableFaultRecord, crate::backend::IoError> {
     use crate::backend::IoError;
+    use crate::checkpoint::{read_page_at, write_all_at};
     use crate::layout::PAGE_BYTES;
-    use std::io::{Read, Seek, SeekFrom, Write};
 
-    let mut file = std::fs::OpenOptions::new()
+    let file = std::fs::OpenOptions::new()
         .read(true)
         .write(true)
         .open(path)
@@ -323,29 +329,15 @@ pub fn apply_durable(
         .map_err(|e| IoError::from_io("stat image", &e))?
         .len();
 
-    let mut patch_page = |page_no: u64, edit: &mut dyn FnMut(&mut [u8])| -> Result<bool, IoError> {
-        let off = page_no * PAGE_BYTES as u64;
-        let mut buf = vec![0u8; PAGE_BYTES];
-        file.seek(SeekFrom::Start(off))
-            .map_err(|e| IoError::from_io("seek", &e))?;
-        let mut filled = 0usize;
-        while filled < PAGE_BYTES {
-            match file.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(IoError::from_io("read page", &e)),
-            }
-        }
-        let before = buf.clone();
+    let patch_page = |page_no: u64, edit: &mut dyn FnMut(&mut [u8])| -> Result<bool, IoError> {
+        let mut buf = [0u8; PAGE_BYTES];
+        read_page_at(&file, page_no, &mut buf)?;
+        let before = buf;
         edit(&mut buf);
         if buf == before {
             return Ok(false);
         }
-        file.seek(SeekFrom::Start(off))
-            .map_err(|e| IoError::from_io("seek", &e))?;
-        file.write_all(&buf)
-            .map_err(|e| IoError::from_io("write page", &e))?;
+        write_all_at(&file, page_no * PAGE_BYTES as u64, &buf)?;
         file.sync_data()
             .map_err(|e| IoError::from_io("fsync", &e))?;
         Ok(true)
@@ -372,7 +364,7 @@ pub fn apply_durable(
             // Target a page the newest checkpoint actually references, so
             // the damage is visible to a fallback-free reopen.
             match crate::checkpoint::FileBackend::open(path) {
-                Ok(backend) => {
+                Ok((backend, _, _)) => {
                     let pages = backend.data_pages();
                     drop(backend);
                     if pages.is_empty() {
@@ -551,33 +543,31 @@ mod tests {
 
     mod durable {
         use super::super::*;
-        use crate::backend::Backend;
-        use crate::checkpoint::FileBackend;
         use std::path::PathBuf;
 
         fn image(name: &str) -> PathBuf {
             let dir = std::env::temp_dir().join(format!("scue-dfault-{}", std::process::id()));
             let _ = std::fs::create_dir_all(&dir);
             let path = dir.join(name);
-            let mut b = FileBackend::create(&path).unwrap();
-            b.write_line(LineAddr::new(1), [1; LINE_BYTES]);
-            b.checkpoint(b"one").unwrap();
-            b.write_line(LineAddr::new(1), [2; LINE_BYTES]);
-            b.write_line(LineAddr::new(99), [9; LINE_BYTES]);
-            b.checkpoint(b"two").unwrap();
+            let mut s = NvmStore::create_file(&path).unwrap();
+            s.write_line(LineAddr::new(1), [1; LINE_BYTES]);
+            s.checkpoint(b"one").unwrap();
+            s.write_line(LineAddr::new(1), [2; LINE_BYTES]);
+            s.write_line(LineAddr::new(99), [9; LINE_BYTES]);
+            s.checkpoint(b"two").unwrap();
             path
         }
 
         #[test]
         fn torn_root_slot_forces_fallback() {
             let path = image("torn-slot.img");
-            let gen_before = FileBackend::open(&path).unwrap().generation();
+            let gen_before = NvmStore::open_file(&path).unwrap().generation();
             let rec = apply_durable(&path, DurableFault::TornRootSlot { words_new: 3 }).unwrap();
             assert!(rec.applied);
-            let b = FileBackend::open(&path).unwrap();
-            assert!(b.fell_back());
-            assert_eq!(b.generation(), gen_before.wrapping_sub(1));
-            assert_eq!(b.meta(), b"one");
+            let s = NvmStore::open_file(&path).unwrap();
+            assert!(s.fell_back());
+            assert_eq!(s.generation(), gen_before.wrapping_sub(1));
+            assert_eq!(s.meta(), b"one");
             let _ = std::fs::remove_file(&path);
         }
 
@@ -587,9 +577,9 @@ mod tests {
             let rec =
                 apply_durable(&path, DurableFault::StaleSlotBitFlip { byte: 40, bit: 2 }).unwrap();
             assert!(rec.applied);
-            let b = FileBackend::open(&path).unwrap();
-            assert!(b.fell_back(), "CRC mismatch skips the newest slot");
-            assert_eq!(b.meta(), b"one");
+            let s = NvmStore::open_file(&path).unwrap();
+            assert!(s.fell_back(), "CRC mismatch skips the newest slot");
+            assert_eq!(s.meta(), b"one");
             let _ = std::fs::remove_file(&path);
         }
 
@@ -605,10 +595,13 @@ mod tests {
             )
             .unwrap();
             assert!(rec.applied);
-            let b = FileBackend::open(&path).unwrap();
-            assert!(!b.fell_back(), "slots are intact; only data is rotten");
+            let s = NvmStore::open_file(&path).unwrap();
+            assert!(!s.fell_back(), "slots are intact; only data is rotten");
             // Logical page 0 line 1 sits past the surviving first word.
-            assert_eq!(b.read_line(LineAddr::new(1)), [0xEE; LINE_BYTES]);
+            assert_eq!(s.read_line(LineAddr::new(1)), [0xEE; LINE_BYTES]);
+            // The line count comes from the torn bytes, not the slot: the
+            // garbage tail turned every line of the page non-zero.
+            assert_eq!(s.touched_lines(), 64 + 1);
             let _ = std::fs::remove_file(&path);
         }
 
@@ -619,8 +612,8 @@ mod tests {
             assert!(rec.applied);
             // One page gone: the newest slot's extent check fails and open
             // falls back (or, with more damage, errors typed) — never panics.
-            match FileBackend::open(&path) {
-                Ok(b) => assert!(b.fell_back() || b.generation() > 0),
+            match NvmStore::open_file(&path) {
+                Ok(s) => assert!(s.fell_back() || s.generation() > 0),
                 Err(e) => {
                     let _ = e.to_string();
                 }

@@ -113,11 +113,6 @@ impl<'a> Cursor<'a> {
         Self { bytes, pos: 0 }
     }
 
-    /// Bytes consumed so far.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Reads `n` raw bytes, or `None` past the end.
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;

@@ -1,25 +1,25 @@
 //! The functional NVM image: sparse, zero-filled, attackable.
 //!
-//! A 16 GB device holds 2^28 lines, far more than any trace touches, so the
-//! default backend is a hash map of touched lines over an implicit all-zero
-//! image. Untouched lines read as zero — which the integrity layer exploits:
-//! an all-zero SIT node with an all-zero "never written" MAC convention sums
-//! to zero in counter-summing recovery, so untouched subtrees cost nothing
-//! to reconstruct.
+//! A 16 GB device holds 2^28 lines, far more than any trace touches, so an
+//! in-memory store is a hash map of touched lines over an implicit
+//! all-zero image. Untouched lines read as zero — which the integrity layer
+//! exploits: an all-zero SIT node with an all-zero "never written" MAC
+//! convention sums to zero in counter-summing recovery, so untouched
+//! subtrees cost nothing to reconstruct.
 //!
-//! Since PR 8 the store is a facade over a [`Backend`]: the same image can
-//! live in memory ([`MemBackend`]) or in a page-granular file with
-//! copy-on-write checkpoints ([`FileBackend`]), opened via
-//! [`NvmStore::create_file`]/[`NvmStore::open_file`]. The facade owns the
-//! backend-agnostic concerns: capacity bounds, write accounting, and the
-//! bounded undo-history journal the fault injector feeds on.
+//! A durable store ([`NvmStore::create_file`]/[`NvmStore::open_file`])
+//! keeps the same image as the resident pages of a [`FileBackend`]: the
+//! line path never touches the file, and [`NvmStore::checkpoint`] commits
+//! the dirty pages copy-on-write. Either way the store owns the checkpoint
+//! generation and meta blob, the capacity bound, write accounting, and
+//! the bounded undo-history journal the fault injector feeds on.
 //!
 //! Because NVM is *outside* the trusted domain (§II-A), the store also
 //! exposes [`NvmStore::tamper_line`] so attack experiments can model an
 //! adversary with full physical access (stolen DIMM, bus control).
 
 use crate::addr::{LineAddr, LINE_BYTES};
-use crate::backend::{Backend, IoError, MemBackend, OpenError};
+use crate::backend::{IoError, OpenError};
 use crate::checkpoint::FileBackend;
 use std::collections::HashMap;
 use std::path::Path;
@@ -38,25 +38,11 @@ pub const DEFAULT_HISTORY_CAP: usize = 1 << 16;
 
 /// Where the image lives.
 #[derive(Debug, Clone)]
-enum StoreBackend {
-    Mem(MemBackend),
+enum Image {
+    /// In memory: the non-zero lines.
+    Mem(HashMap<LineAddr, Line>),
+    /// On file: the resident pages of a durable image.
     File(FileBackend),
-}
-
-impl StoreBackend {
-    fn get(&self) -> &dyn Backend {
-        match self {
-            StoreBackend::Mem(b) => b,
-            StoreBackend::File(b) => b,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut dyn Backend {
-        match self {
-            StoreBackend::Mem(b) => b,
-            StoreBackend::File(b) => b,
-        }
-    }
 }
 
 /// Occupancy of the bounded undo-history journal (see
@@ -101,10 +87,12 @@ impl HistoryJournal {
     }
 }
 
-/// Sparse functional NVM image (facade over a [`Backend`]).
+/// Sparse functional NVM image, in memory or on file.
 #[derive(Debug, Clone)]
 pub struct NvmStore {
-    backend: StoreBackend,
+    image: Image,
+    generation: u64,
+    meta: Vec<u8>,
     capacity_lines: Option<u64>,
     writes: u64,
     history: Option<HistoryJournal>,
@@ -114,7 +102,9 @@ pub struct NvmStore {
 impl Default for NvmStore {
     fn default() -> Self {
         Self {
-            backend: StoreBackend::Mem(MemBackend::new()),
+            image: Image::Mem(HashMap::new()),
+            generation: 0,
+            meta: Vec::new(),
             capacity_lines: None,
             writes: 0,
             history: None,
@@ -138,36 +128,42 @@ impl NvmStore {
         }
     }
 
-    /// Creates a fresh durable image file at `path` (see
-    /// [`FileBackend::create`]) and wraps it in a store.
+    /// Creates a fresh durable image file at `path` and commits an
+    /// initial empty checkpoint (generation 1), so a process killed
+    /// before its first real checkpoint still reopens cleanly.
     pub fn create_file(path: &Path) -> Result<Self, OpenError> {
-        Ok(Self {
-            backend: StoreBackend::File(FileBackend::create(path)?),
+        let mut store = Self {
+            image: Image::File(FileBackend::create(path)?),
             ..Self::default()
-        })
+        };
+        store.checkpoint(&[])?;
+        Ok(store)
     }
 
     /// Opens an existing durable image, selecting the newest valid
-    /// checkpoint slot and falling back past a torn one (see
-    /// [`FileBackend::open`]).
+    /// checkpoint slot and falling back past a torn one, and loads it
+    /// (see [`FileBackend::open`]).
     pub fn open_file(path: &Path) -> Result<Self, OpenError> {
+        let (backend, generation, meta) = FileBackend::open(path)?;
         Ok(Self {
-            backend: StoreBackend::File(FileBackend::open(path)?),
+            image: Image::File(backend),
+            generation,
+            meta,
             ..Self::default()
         })
     }
 
     /// Whether the image is file-backed (durable) rather than in-memory.
     pub fn is_durable(&self) -> bool {
-        matches!(self.backend, StoreBackend::File(_))
+        matches!(self.image, Image::File(_))
     }
 
     /// Whether opening this image had to fall back past a damaged newest
     /// checkpoint slot. Always `false` for in-memory stores.
     pub fn fell_back(&self) -> bool {
-        match &self.backend {
-            StoreBackend::Mem(_) => false,
-            StoreBackend::File(b) => b.fell_back(),
+        match &self.image {
+            Image::Mem(_) => false,
+            Image::File(file) => file.fell_back(),
         }
     }
 
@@ -230,7 +226,10 @@ impl NvmStore {
     /// simulator wiring bug, not a runtime condition.
     pub fn read_line(&self, addr: LineAddr) -> Line {
         self.check_bounds(addr);
-        self.backend.get().read_line(addr)
+        match &self.image {
+            Image::Mem(lines) => lines.get(&addr).copied().unwrap_or(ZERO_LINE),
+            Image::File(file) => file.read_line(addr),
+        }
     }
 
     /// Writes a line.
@@ -241,18 +240,18 @@ impl NvmStore {
     pub fn write_line(&mut self, addr: LineAddr, line: Line) {
         self.check_bounds(addr);
         self.writes += 1;
-        if self.history.is_some() {
-            let old = self.backend.get().read_line(addr);
-            if let Some(history) = self.history.as_mut() {
-                history.record(addr, old);
-            }
+        let old = self.put(addr, line);
+        if let Some(history) = self.history.as_mut() {
+            history.record(addr, old);
         }
-        self.backend.get_mut().write_line(addr, line);
     }
 
     /// Number of distinct touched (non-zero) lines.
     pub fn touched_lines(&self) -> usize {
-        self.backend.get().nonzero_lines() as usize
+        match &self.image {
+            Image::Mem(lines) => lines.len(),
+            Image::File(file) => file.nonzero_lines() as usize,
+        }
     }
 
     /// Total writes ever applied (endurance proxy).
@@ -262,33 +261,37 @@ impl NvmStore {
 
     /// Iterates over all non-zero lines (address order unspecified).
     ///
-    /// Lines are owned: a file backend pages content in on demand, so
-    /// there is no stable map to borrow from.
+    /// Lines are owned, so callers may rewrite the store while they walk
+    /// the snapshot.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, Line)> {
-        self.backend.get().lines().into_iter()
+        let lines: Vec<(LineAddr, Line)> = match &self.image {
+            Image::Mem(lines) => lines.iter().map(|(&a, &l)| (a, l)).collect(),
+            Image::File(file) => file.lines(),
+        };
+        lines.into_iter()
     }
 
     /// Commits the image plus the caller's `meta` blob as a durable
     /// checkpoint generation (an epoch boundary marker on in-memory
-    /// backends). Returns the committed generation.
+    /// stores). Returns the committed generation.
     pub fn checkpoint(&mut self, meta: &[u8]) -> Result<u64, IoError> {
-        self.backend.get_mut().checkpoint(meta)
+        let generation = self.generation.wrapping_add(1);
+        if let Image::File(file) = &mut self.image {
+            file.commit(generation, meta)?;
+        }
+        self.generation = generation;
+        self.meta = meta.to_vec();
+        Ok(generation)
     }
 
     /// The last committed checkpoint generation.
     pub fn generation(&self) -> u64 {
-        self.backend.get().generation()
+        self.generation
     }
 
     /// The meta blob of the last committed checkpoint.
     pub fn meta(&self) -> &[u8] {
-        self.backend.get().meta()
-    }
-
-    /// The first I/O failure swallowed on the infallible read/write path,
-    /// if any (file backends only).
-    pub fn last_io_error(&self) -> Option<IoError> {
-        self.backend.get().last_io_error()
+        &self.meta
     }
 
     /// Adversarial mutation of NVM content, bypassing all accounting.
@@ -297,9 +300,18 @@ impl NvmStore {
     /// tuples for replay.
     pub fn tamper_line(&mut self, addr: LineAddr, line: Line) -> Line {
         self.check_bounds(addr);
-        let old = self.backend.get().read_line(addr);
-        self.backend.get_mut().write_line(addr, line);
-        old
+        self.put(addr, line)
+    }
+
+    /// Stores `line` at `addr` and returns the line it replaced; a zero
+    /// line keeps the in-memory map sparse.
+    fn put(&mut self, addr: LineAddr, line: Line) -> Line {
+        match &mut self.image {
+            Image::Mem(lines) if line == ZERO_LINE => lines.remove(&addr),
+            Image::Mem(lines) => lines.insert(addr, line),
+            Image::File(file) => Some(file.write_line(addr, line)),
+        }
+        .unwrap_or(ZERO_LINE)
     }
 
     fn check_bounds(&self, addr: LineAddr) {
@@ -430,7 +442,6 @@ mod tests {
         assert_eq!(store.checkpoint(b"m"), Ok(1));
         assert_eq!(store.meta(), b"m");
         assert!(!store.fell_back());
-        assert!(store.last_io_error().is_none());
     }
 
     #[test]
