@@ -23,7 +23,9 @@
 //! ```
 //!
 //! Test files use the [`proptest!`](crate::proptest) macro, which keeps
-//! the familiar `fn name(x in strategy, ...)` surface.
+//! the familiar `fn name(x in strategy, ...)` surface. Never-panic
+//! properties over decoders damage a valid encoding with
+//! [`mutate_bytes`].
 
 use crate::rng::{Rng, SplitMix64};
 use std::fmt::Debug;
@@ -308,6 +310,39 @@ pub mod option {
                     .collect(),
             }
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Byte mutations
+// ----------------------------------------------------------------------
+
+/// Applies one seeded byte mutation `(kind, a, b)` to an encoding:
+///
+/// * `0` flips bit `b % 8` of byte `a`;
+/// * `1` truncates at `a`;
+/// * `2` zeroes `b` bytes from `a`;
+/// * `3` duplicates `b` bytes from `a` in place, shifting every later
+///   byte.
+///
+/// `a` is reduced to a position the current length allows and a range
+/// stops at the end, so every input is valid; any other kind is a no-op,
+/// which leaves higher kinds free for a caller's own format-level
+/// mutations. Draw `a` and `b` from ranges bounded by the input size:
+/// the integer shrinker converges on small offsets, not on residues.
+pub fn mutate_bytes(bytes: &mut Vec<u8>, (kind, a, b): (u8, u64, u64)) {
+    let len = bytes.len() as u64;
+    let start = (a % (len + 1)) as usize;
+    let end = start.saturating_add(b as usize).min(bytes.len());
+    match kind {
+        0 if len > 0 => bytes[(a % len) as usize] ^= 1 << (b % 8),
+        1 => bytes.truncate(start),
+        2 => bytes[start..end].fill(0),
+        3 => {
+            let copy = bytes[start..end].to_vec();
+            bytes.splice(start..start, copy);
+        }
+        _ => {}
     }
 }
 
@@ -734,6 +769,31 @@ mod tests {
         assert!(shrunk.shrink_steps > 0);
         assert!(shrunk.evals >= shrunk.shrink_steps);
         assert_eq!(shrunk.message, "37 too big");
+    }
+
+    #[test]
+    fn mutate_bytes_applies_each_kind_and_tolerates_any_input() {
+        let base: Vec<u8> = (1..=8).collect();
+        let apply = |m| {
+            let mut bytes = base.clone();
+            mutate_bytes(&mut bytes, m);
+            bytes
+        };
+        assert_eq!(
+            apply((0, 10, 9)),
+            [1, 2, 1, 4, 5, 6, 7, 8],
+            "bit 1 of byte 2"
+        );
+        assert_eq!(apply((1, 3, 0)), [1, 2, 3]);
+        assert_eq!(apply((2, 6, 5)), [1, 2, 3, 4, 5, 6, 0, 0]);
+        assert_eq!(apply((3, 1, 2)), [1, 2, 3, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(apply((4, 1, 2)), base, "higher kinds are the caller's");
+        for kind in 0..4 {
+            let mut empty = Vec::new();
+            mutate_bytes(&mut empty, (kind, u64::MAX, u64::MAX));
+            assert!(empty.is_empty());
+            mutate_bytes(&mut apply((kind, 0, 0)), (kind, u64::MAX, u64::MAX));
+        }
     }
 
     #[test]
